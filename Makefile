@@ -90,7 +90,7 @@ fuzz-fault:
 # guard skips itself under the race detector), then a short parallel
 # sweep under -race to shake out worker/emitter races.
 bench-smoke:
-	$(GO) test -run='TestStepNoAlloc|TestRecvIntoReusesBuffer|TestRecvZeroesVacatedTail' -count=1 . ./internal/link
+	$(GO) test -run='TestStepNoAlloc|TestBuildCostAlloc|TestRecvIntoReusesBuffer|TestRecvZeroesVacatedTail' -count=1 . ./internal/link
 	$(GO) test -race -run='TestParallelSweep' -count=1 ./cmd/sweep
 
 # Sharded-stepping gate (DESIGN.md §17): a 32×32 mesh stepped as four

@@ -1,8 +1,11 @@
 package surfbless_test
 
 import (
+	"runtime"
 	"testing"
 
+	"surfbless"
+	"surfbless/internal/coherence"
 	"surfbless/internal/config"
 	"surfbless/internal/geom"
 	"surfbless/internal/network"
@@ -11,6 +14,7 @@ import (
 	"surfbless/internal/probe"
 	"surfbless/internal/sim"
 	"surfbless/internal/stats"
+	"surfbless/internal/system"
 	"surfbless/internal/traffic"
 )
 
@@ -186,5 +190,54 @@ func TestStepNoAllocProbed(t *testing.T) {
 				t.Errorf("%v: %.2f allocs per 500 probed steady-state cycles, want 0", model, avg)
 			}
 		})
+	}
+}
+
+// allocatedBy returns the bytes f allocates on the heap.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestBuildCostAlloc bounds what building the full system costs before
+// its first useful cycle.  Cache sets are allocated on first install
+// (DESIGN.md §12), so an untouched Table-1 L2 bank is just its set
+// index, and a one-instruction system.Run is a few MiB instead of the
+// ~49 MiB of empty lines a preallocated tag store costs.  The bounds
+// sit about 1.3× and 1.8× above the measured 48 KiB and 4.5 MiB, and
+// far below the preallocated layout's 688 KiB and 49 MiB.
+func TestBuildCostAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	send := func(*coherence.Msg, int64) {}
+	mcOf := func(uint64) int { return 0 }
+	var l2 *coherence.L2
+	b := allocatedBy(func() { l2 = coherence.NewL2(1, 256*1024, 16, 8, 6, mcOf, send) })
+	t.Logf("NewL2: %d B", b)
+	if b > 64<<10 {
+		t.Errorf("NewL2(256 KiB, 16 B, 8 ways) allocated %d B, want ≤ 64 KiB", b)
+	}
+	runtime.KeepAlive(l2)
+
+	app, err := surfbless.Application("swaptions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range []config.Model{config.WH, config.Surf, config.SB} {
+		var runErr error
+		b := allocatedBy(func() {
+			_, runErr = system.Run(system.Options{Model: model, App: app, InstrPerCore: 1, Seed: 1})
+		})
+		if runErr != nil {
+			t.Fatalf("%v: %v", model, runErr)
+		}
+		t.Logf("%v: system.Run(1 instr/core): %.2f MiB", model, float64(b)/(1<<20))
+		if b > 8<<20 {
+			t.Errorf("%v: one-instruction system.Run allocated %.1f MiB, want ≤ 8 MiB", model, float64(b)/(1<<20))
+		}
 	}
 }

@@ -46,18 +46,21 @@ type Line struct {
 }
 
 // Cache is a set-associative tag store with LRU replacement, shared by
-// the L1s (32 KB) and L2 banks (256 KB) of Table 1.
+// the L1s (32 KB) and L2 banks (256 KB) of Table 1.  A set's ways
+// appear on its first install: until then the set is nil and reads as
+// all-Invalid, so a short run pays only for the sets it touches.
 type Cache struct {
 	sets      int
 	ways      int
 	blockBits uint
-	lines     [][]Line // [set][way]
+	lines     [][]Line // [set][way]; a nil set has never been installed into
 	tick      int64
 }
 
 // NewCache builds a cache of the given total capacity.  capacityBytes
 // must be a multiple of blockBytes×ways and the set count must be a
-// power of two.
+// power of two.  Only the set index is allocated here; each set's ways
+// are allocated by the first VictimFor that lands in it.
 func NewCache(capacityBytes, blockBytes, ways int) *Cache {
 	if capacityBytes <= 0 || blockBytes <= 0 || ways <= 0 {
 		panic(fmt.Sprintf("coherence: NewCache(%d, %d, %d)", capacityBytes, blockBytes, ways))
@@ -77,11 +80,7 @@ func NewCache(capacityBytes, blockBytes, ways int) *Cache {
 	if 1<<bits != blockBytes {
 		panic(fmt.Sprintf("coherence: block size %d not a power of two", blockBytes))
 	}
-	c := &Cache{sets: sets, ways: ways, blockBits: bits, lines: make([][]Line, sets)}
-	for s := range c.lines {
-		c.lines[s] = make([]Line, ways)
-	}
-	return c
+	return &Cache{sets: sets, ways: ways, blockBits: bits, lines: make([][]Line, sets)}
 }
 
 // BlockAddr converts a byte address to a block address.
@@ -93,8 +92,9 @@ func (c *Cache) set(block uint64) int { return int(block % uint64(c.sets)) }
 // the line's LRU stamp.
 func (c *Cache) Lookup(block uint64) *Line {
 	c.tick++
-	for w := range c.lines[c.set(block)] {
-		l := &c.lines[c.set(block)][w]
+	set := c.lines[c.set(block)]
+	for w := range set {
+		l := &set[w]
 		if l.State != Invalid && l.Tag == block {
 			l.lru = c.tick
 			return l
@@ -105,8 +105,9 @@ func (c *Cache) Lookup(block uint64) *Line {
 
 // Peek is Lookup without the LRU refresh (for introspection/tests).
 func (c *Cache) Peek(block uint64) *Line {
-	for w := range c.lines[c.set(block)] {
-		l := &c.lines[c.set(block)][w]
+	set := c.lines[c.set(block)]
+	for w := range set {
+		l := &set[w]
 		if l.State != Invalid && l.Tag == block {
 			return l
 		}
@@ -119,8 +120,14 @@ func (c *Cache) Peek(block uint64) *Line {
 // lowest according to prefer (lower is better; used by the L2 to avoid
 // evicting owned lines).  The returned line still holds the victim's
 // previous contents; the caller handles eviction and then Install.
+// VictimFor is the only way to a line for Install, so it is where an
+// untouched set gets its ways.
 func (c *Cache) VictimFor(block uint64, prefer func(*Line) int) *Line {
-	set := c.lines[c.set(block)]
+	s := c.set(block)
+	if c.lines[s] == nil {
+		c.lines[s] = make([]Line, c.ways)
+	}
+	set := c.lines[s]
 	var victim *Line
 	for w := range set {
 		l := &set[w]
@@ -152,8 +159,8 @@ func (c *Cache) Install(l *Line, block uint64, state LineState) {
 	*l = Line{Tag: block, State: state, lru: c.tick}
 }
 
-// Stats walks every valid line (for invariant checks and occupancy
-// accounting).
+// Walk calls fn on every valid line, in set then way order (for
+// invariant checks and occupancy accounting).
 func (c *Cache) Walk(fn func(*Line)) {
 	for s := range c.lines {
 		for w := range c.lines[s] {

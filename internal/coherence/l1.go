@@ -156,9 +156,7 @@ func (l *L1) completeFill(m *Msg, now int64) {
 		state = Exclusive
 	}
 	l.cache.Install(victim, m.Addr, state)
-	if state == Modified {
-		l.cache.Peek(m.Addr).Dirty = true
-	}
+	victim.Dirty = state == Modified
 }
 
 func (l *L1) completeUpgrade(m *Msg, now int64) {

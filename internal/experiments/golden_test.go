@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -60,5 +61,32 @@ func TestFig5GoldenCSVCached(t *testing.T) {
 	}
 	if second := r2.Tables()[0].CSV(); second != first {
 		t.Errorf("cache-on output diverges from cache-off output:\n hit: %q\nmiss: %q", second, first)
+	}
+}
+
+// TestAppsGoldenCSV pins the full-system results to bytes: it
+// regenerates Figs 8–10 at the quick scale the committed results were
+// produced at and compares each table with its CSV under results/.
+func TestAppsGoldenCSV(t *testing.T) {
+	if testing.Short() {
+		t.Skip("quick-scale Figs 8–10 (≈16 s)")
+	}
+	r, err := Apps(Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tab := range r.Tables() {
+		fig := 8 + i
+		paths, err := filepath.Glob(filepath.Join("..", "..", "results", fmt.Sprintf("apps_fig_%d_*.csv", fig)))
+		if err != nil || len(paths) != 1 {
+			t.Fatalf("Fig %d: want one committed CSV, found %v (%v)", fig, paths, err)
+		}
+		golden, err := os.ReadFile(paths[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tab.CSV(); got != string(golden) {
+			t.Errorf("regenerated Fig %d CSV diverges from %s:\n got: %q\nwant: %q", fig, paths[0], got, golden)
+		}
 	}
 }
