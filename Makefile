@@ -58,13 +58,13 @@ race:
 	$(GO) test -race ./...
 
 # Focused -race gate over the failure-handling machinery: fault
-# injection, watchdog/degraded runs, checkpoint/resume, and the
-# resumable parallel sweep.  Redundant with `race` on a full run, but
+# injection, watchdog/degraded runs, the sweep WAL's torn-tail and
+# concurrent-append recovery, and the resumable parallel sweep.  Redundant with `race` on a full run, but
 # cheap enough to iterate on alone while touching recovery code.
 race-faults:
 	$(GO) test -race -count=1 \
-		-run 'TestFault|TestInactiveFaults|TestWatchdog|TestDegraded|TestConservation|TestRunLoopRecovers|TestPlan|TestWindow|TestInjector|TestCorrupt|TestLoadPlan|TestCheckpoint|TestParallelSweep' \
-		./internal/sim ./internal/fault ./internal/simcache ./cmd/sweep
+		-run 'TestFault|TestInactiveFaults|TestWatchdog|TestDegraded|TestConservation|TestRunLoopRecovers|TestPlan|TestWindow|TestInjector|TestCorrupt|TestLoadPlan|TestWAL|TestParallelSweep' \
+		./internal/sim ./internal/fault ./internal/simcache ./internal/sweepsvc ./cmd/sweep
 
 # Sweep-service chaos soak (DESIGN.md §16): in-process coordinator +
 # worker fleet under a deterministic killer that hard-kills/restarts

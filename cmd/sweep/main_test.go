@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"surfbless/internal/fault"
 	"surfbless/internal/probe"
 	"surfbless/internal/sweepsvc"
 	"surfbless/internal/sweepsvc/backoff"
@@ -224,6 +225,161 @@ func TestBadFlagsFail(t *testing.T) {
 	}
 	if _, _, code := runSweep(t, sweepArgs("-model", "nope")); code == 0 {
 		t.Error("unknown model must fail")
+	}
+	// Combinations that would be silently ignored fail and name the flag.
+	dir := t.TempDir()
+	for _, c := range []struct {
+		args []string
+		flag string
+	}{
+		{sweepArgs("-remote", "127.0.0.1:1", "-workers", "2"), "-workers"},
+		{sweepArgs("-checkpoint", filepath.Join(dir, "wal"), "-trace", filepath.Join(dir, "t.txt")), "-trace"},
+		{sweepArgs("-point-timeout", "500us"), "-point-timeout"},
+	} {
+		_, stderr, code := runSweep(t, c.args)
+		if code == 0 || !strings.Contains(stderr, c.flag) {
+			t.Errorf("%v: exit %d, stderr %q; want a failure naming %s", c.args, code, stderr, c.flag)
+		}
+	}
+}
+
+// sweepSpec is the sweepsvc job sweepArgs() describes.
+func sweepSpec() sweepsvc.Spec {
+	return sweepsvc.Spec{
+		Model: "SB", Domains: 2, From: 0.02, To: 0.10, Step: 0.02,
+		Cycles: 400, Seed: 7, MaxAttempts: sweepsvc.DefaultMaxAttempts,
+	}
+}
+
+// A journal interrupted mid-sweep — 2 of 5 points completed, then a
+// torn half-line — resumes to the full CSV of a fresh run, simulating
+// only the 3 missing points.
+func TestLocalSweepResumesPartialJournal(t *testing.T) {
+	fresh, _, code := runSweep(t, sweepArgs())
+	if code != 0 {
+		t.Fatalf("fresh sweep exit %d", code)
+	}
+
+	wal := filepath.Join(t.TempDir(), "sweep.wal")
+	coord, err := sweepsvc.OpenCoordinator(sweepsvc.CoordinatorOptions{WALPath: wal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := coord.SubmitJob(sweepSpec()); err != nil {
+		t.Fatal(err)
+	}
+	leases, err := coord.AcquireLeases("interrupted", 2)
+	if err != nil || len(leases) != 2 {
+		t.Fatalf("AcquireLeases = %d leases, %v", len(leases), err)
+	}
+	runner := &sweepsvc.Runner{}
+	for _, l := range leases {
+		ex := runner.RunPoint(context.Background(), l.Spec, l.Rate)
+		if _, err := coord.CompletePoint(sweepsvc.Completion{
+			Lease: l.ID, Job: l.Job, Point: l.Point,
+			Row: ex.Row, Status: ex.Status, Attempts: ex.Attempts, Failed: ex.Failed,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	coord.Close()
+	f, err := os.OpenFile(wal, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"t":"point","job":"j1","point":2,"row":"0.06`)
+	f.Close()
+
+	resumed, stderr, code := runSweep(t, sweepArgs("-workers", "2", "-checkpoint", wal, "-resume"))
+	if code != 0 {
+		t.Fatalf("resumed sweep exit %d; stderr:\n%s", code, stderr)
+	}
+	if resumed != fresh {
+		t.Errorf("resumed CSV differs from a fresh run:\n--- fresh ---\n%s--- resumed ---\n%s", fresh, resumed)
+	}
+	if want := "resume: 2 point(s) already journaled in " + wal + " (1 torn line(s) dropped)"; !strings.Contains(stderr, want) {
+		t.Errorf("stderr lacks %q:\n%s", want, stderr)
+	}
+	w, recs, err := sweepsvc.OpenWAL(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	points := 0
+	for _, r := range recs {
+		if r.T == sweepsvc.RecordPoint {
+			points++
+		}
+	}
+	if points != 5 {
+		t.Errorf("journal holds %d point records, want 5 (2 replayed + 3 simulated, none twice)", points)
+	}
+}
+
+// A point that spends its whole attempt budget is journaled as done
+// like any other, so -resume replays its error row (and the failure
+// exit) instead of simulating it again.
+func TestLocalSweepResumeReplaysFailedPoints(t *testing.T) {
+	wal := filepath.Join(t.TempDir(), "sweep.wal")
+	args := sweepArgs("-to", "0.02", "-cycles", "200000", "-point-timeout", "1ms", "-attempts", "1", "-checkpoint", wal)
+	first, stderr, code := runSweep(t, args)
+	if code != 1 {
+		t.Fatalf("timed-out sweep exit %d, want 1; stderr:\n%s", code, stderr)
+	}
+	if want := "0.020,,,,,,,,,error: timeout after 1ms\n"; !strings.HasSuffix(first, want) {
+		t.Fatalf("CSV lacks the timeout row %q:\n%s", want, first)
+	}
+	resumed, stderr, code := runSweep(t, append(args, "-resume"))
+	if code != 1 || resumed != first {
+		t.Errorf("resume: exit %d, CSV:\n%s; want exit 1 and the journaled CSV:\n%s", code, resumed, first)
+	}
+	if !strings.Contains(stderr, "resume: 1 point(s) already journaled") || strings.Contains(stderr, "continuing") {
+		t.Errorf("resume re-ran the failed point instead of replaying it; stderr:\n%s", stderr)
+	}
+	if !strings.Contains(stderr, "sweep: 1 point(s) failed") {
+		t.Errorf("replayed failure not counted; stderr:\n%s", stderr)
+	}
+}
+
+// A WH mesh wedged by a permanent all-router freeze degrades every
+// point.  The local engine must print exactly the serial reference's
+// degraded rows, partial statistics included, and dump one flight
+// recording per point.
+func TestLocalSweepWedgeMatchesSerialCSV(t *testing.T) {
+	dir := t.TempDir()
+	plan := &fault.Plan{}
+	for n := 0; n < 64; n++ {
+		plan.Events = append(plan.Events, fault.Event{Kind: fault.RouterFreeze, Node: n, At: 1000})
+	}
+	raw, err := json.Marshal(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planFile := filepath.Join(dir, "wedge.json")
+	if err := os.WriteFile(planFile, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	flights := filepath.Join(dir, "flight")
+	local, stderr, code := runSweep(t, sweepArgs("-model", "WH", "-to", "0.06", "-cycles", "2000",
+		"-faults", planFile, "-workers", "2", "-flight-dir", flights))
+	if code != 0 {
+		t.Fatalf("wedged sweep exit %d; stderr:\n%s", code, stderr)
+	}
+
+	spec := sweepSpec()
+	spec.Model, spec.To, spec.Cycles, spec.Faults = "WH", 0.06, 2000, plan
+	var serial bytes.Buffer
+	if _, err := (&sweepsvc.Runner{}).SerialCSV(context.Background(), spec, &serial); err != nil {
+		t.Fatal(err)
+	}
+	if local != serial.String() {
+		t.Errorf("local CSV differs from SerialCSV:\n--- serial ---\n%s--- local ---\n%s", serial.String(), local)
+	}
+	if n := strings.Count(local, "degraded: fault-wedge"); n != 3 {
+		t.Errorf("%d fault-wedge rows, want 3:\n%s", n, local)
+	}
+	if dumps, _ := filepath.Glob(filepath.Join(flights, "sweep_WH_r*.flight.json")); len(dumps) != 3 {
+		t.Errorf("got %d flight dumps, want 3", len(dumps))
 	}
 }
 

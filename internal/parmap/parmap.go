@@ -1,12 +1,12 @@
 // Package parmap provides the ordered parallel map shared by the
-// experiment harnesses (internal/experiments) and cmd/sweep.
+// experiment harnesses (internal/experiments) and perfbench.
 //
 // Every simulation in this repository is an isolated deterministic
 // state machine — its own fabric, collector and seeded RNG streams —
 // so running points concurrently cannot change any result, only the
-// wall-clock time of producing it.  Both entry points preserve input
-// order on the output side, which is what lets a parallel sweep emit a
-// byte-identical CSV to a serial one.
+// wall-clock time of producing it.  Results come back in input order,
+// which is what lets a parallel figure match a serial one byte for
+// byte.
 package parmap
 
 import (
@@ -21,86 +21,41 @@ import (
 // every per-item error in input order, so no failure is masked by an
 // earlier one.
 func Map[T, R any](items []T, workers int, f func(T) (R, error)) ([]R, error) {
-	results := make([]R, len(items))
-	errs := make([]error, len(items))
-	Stream(items, workers,
-		func(_ int, item T) (R, error) { return f(item) },
-		func(i int, r R, err error) {
-			results[i] = r
-			errs[i] = err
-		})
-	return results, errors.Join(errs...)
-}
-
-// slot carries one finished item from a worker to the emitter.
-type slot[R any] struct {
-	i   int
-	r   R
-	err error
-}
-
-// Stream runs f over items on up to workers goroutines and calls emit
-// exactly once per item, in input order, on the caller's goroutine.
-// An item's result is held back until every earlier item has been
-// emitted, so emit may safely print, journal or accumulate without
-// synchronization.  f receives the item's index alongside its value.
-func Stream[T, R any](items []T, workers int, f func(int, T) (R, error), emit func(int, R, error)) {
 	n := len(items)
-	if n == 0 {
-		return
-	}
+	results := make([]R, n)
+	errs := make([]error, n)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
 	}
-	if workers == 1 {
+	if workers <= 1 {
 		// Serial fast path: same goroutine, same order, no channels —
 		// identical to a plain loop by construction.
 		for i, item := range items {
-			r, err := f(i, item)
-			emit(i, r, err)
+			results[i], errs[i] = f(item)
 		}
-		return
+		return results, errors.Join(errs...)
 	}
 
+	// Each worker writes only its own slots, so results land in input
+	// order without a reorder buffer.
 	idx := make(chan int)
-	done := make(chan slot[R], workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				r, err := f(i, items[i])
-				done <- slot[R]{i: i, r: r, err: err}
+				results[i], errs[i] = f(items[i])
 			}
 		}()
 	}
-	go func() {
-		for i := range items {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-		close(done)
-	}()
-
-	// Reorder: emit item i only after items 0..i-1, regardless of
-	// completion order.
-	pending := make(map[int]slot[R], workers)
-	next := 0
-	for s := range done {
-		pending[s.i] = s
-		for {
-			ps, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			emit(ps.i, ps.r, ps.err)
-			next++
-		}
+	for i := range items {
+		idx <- i
 	}
+	close(idx)
+	wg.Wait()
+	return results, errors.Join(errs...)
 }

@@ -50,41 +50,13 @@ func TestMapJoinsAllErrors(t *testing.T) {
 	}
 }
 
-// Stream must emit in input order on the caller's goroutine even when
-// items complete wildly out of order.
-func TestStreamEmitsInOrder(t *testing.T) {
-	items := make([]int, 64)
-	for i := range items {
-		items[i] = i
+// An empty input runs nothing and returns an empty, error-free result.
+func TestMapEmptyInput(t *testing.T) {
+	got, err := Map(nil, 4, func(v int) (int, error) {
+		t.Error("f called on empty input")
+		return v, nil
+	})
+	if err != nil || len(got) != 0 {
+		t.Errorf("Map(nil) = %v, %v; want empty, nil", got, err)
 	}
-	gate := make(chan struct{})
-	var emitted []int
-	go func() { close(gate) }()
-	Stream(items, 8,
-		func(i int, v int) (int, error) {
-			<-gate
-			// Later items finish first more often than not; order must
-			// still hold on the emit side.
-			return v, nil
-		},
-		func(i int, r int, err error) {
-			if err != nil {
-				t.Errorf("item %d: %v", i, err)
-			}
-			emitted = append(emitted, r) // no lock: emit runs on one goroutine
-		})
-	if len(emitted) != len(items) {
-		t.Fatalf("emitted %d of %d items", len(emitted), len(items))
-	}
-	for i, v := range emitted {
-		if v != i {
-			t.Fatalf("emit order broken at %d: got %d", i, v)
-		}
-	}
-}
-
-func TestStreamEmptyInput(t *testing.T) {
-	Stream(nil, 4,
-		func(i int, v int) (int, error) { return v, nil },
-		func(i int, r int, err error) { t.Error("emit called on empty input") })
 }

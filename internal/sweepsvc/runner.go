@@ -35,6 +35,13 @@ type Runner struct {
 	// OnRetry, when non-nil, observes each failed attempt that will be
 	// retried.
 	OnRetry RetryHook
+	// Simulate, when non-nil, runs each attempt in place of
+	// sim.RunCached(o, Cache).  It receives the point's rate and its
+	// options with the attempt's context already set; cmd/sweep uses
+	// it to add execution knobs (Shards) and per-point observers
+	// (trace, spans, probe, flight recorder) without leaving the
+	// runner's retry, timeout and degraded-row handling.
+	Simulate func(rate float64, o sim.Options) (sim.Result, error)
 }
 
 // Execution is one point's finished outcome.
@@ -85,7 +92,7 @@ func (r *Runner) RunPoint(ctx context.Context, spec Spec, rate float64) Executio
 	var lastErr error
 	for attempt := 1; attempt <= attempts; attempt++ {
 		out.Attempts = attempt
-		res, rerr := r.attempt(ctx, spec, o)
+		res, rerr := r.attempt(ctx, spec, rate, o)
 
 		if rerr == nil {
 			out.Status = StatusWithAttempts("ok", attempt)
@@ -135,7 +142,7 @@ func (r *Runner) RunPoint(ctx context.Context, spec Spec, rate float64) Executio
 
 // attempt runs one execution with the per-point timeout applied and
 // panics contained.
-func (r *Runner) attempt(ctx context.Context, spec Spec, o sim.Options) (res sim.Result, err error) {
+func (r *Runner) attempt(ctx context.Context, spec Spec, rate float64, o sim.Options) (res sim.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic: %v", p)
@@ -150,13 +157,16 @@ func (r *Runner) attempt(ctx context.Context, spec Spec, o sim.Options) (res sim
 	// context.Background().Done() is nil, so an unbounded, uncancelled
 	// point costs the run loop nothing.
 	o.Ctx = pctx
+	if r.Simulate != nil {
+		return r.Simulate(rate, o)
+	}
 	return sim.RunCached(o, r.Cache)
 }
 
 // SerialCSV runs every point of the spec serially in rate order and
 // writes the header plus one row per point to w — the reference output
-// the chaos harness compares the service's CSV against, and the local
-// engine behind cmd/sweep.  It returns the number of failed points.
+// the chaos harness and the cmd/sweep tests compare the service's CSV
+// against.  It returns the number of failed points.
 func (r *Runner) SerialCSV(ctx context.Context, spec Spec, w io.Writer) (failures int, err error) {
 	if err := spec.Validate(); err != nil {
 		return 0, err

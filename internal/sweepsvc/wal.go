@@ -24,10 +24,9 @@ const (
 	RecordPoint = "point"
 )
 
-// Record is one WAL line.  The JSON-lines format mirrors
-// simcache.Checkpoint: a process killed mid-write damages at most the
-// final line, which replay skips (and counts) instead of refusing the
-// journal.
+// Record is one WAL line.  The format is JSON lines, so a process
+// killed mid-write damages at most the final line, which replay skips
+// (and counts) instead of refusing the journal.
 type Record struct {
 	T        string `json:"t"`
 	Job      string `json:"job,omitempty"`
@@ -39,11 +38,13 @@ type Record struct {
 	Failed   bool   `json:"failed,omitempty"`
 }
 
-// WAL is the coordinator's crash-safe journal of state transitions.
-// Every Append is flushed to disk before it returns (fsync), so any
-// transition the coordinator has acknowledged survives a kill -9; a
-// torn final line from a crash mid-Append is tolerated at open time
-// exactly like simcache.Checkpoint tolerates it.
+// WAL is the coordinator's crash-safe journal of state transitions —
+// the one journal behind both sweepd and a local cmd/sweep, whose
+// -checkpoint FILE is this file.  Every Append is flushed to disk
+// before it returns (fsync), so any transition the coordinator has
+// acknowledged survives a kill -9; a torn final line from a crash
+// mid-Append is skipped and counted at open time.  Appends from
+// concurrent callers interleave whole lines.
 type WAL struct {
 	mu      sync.Mutex
 	f       *os.File
