@@ -1,6 +1,7 @@
 package surfbless_test
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -36,7 +37,16 @@ type allocHarness struct {
 // interval series and heatmaps all reach working capacity too.
 func newAllocHarness(tb testing.TB, model config.Model, warmup int64, p *probe.Probe) *allocHarness {
 	tb.Helper()
+	return newMeshAllocHarness(tb, model, 8, 1, warmup, p)
+}
+
+// newMeshAllocHarness is newAllocHarness on a width×width mesh stepped
+// as shards tiles (shards ≤ 1 = serial).  A sharded fabric's worker
+// pool is stopped when the test ends.
+func newMeshAllocHarness(tb testing.TB, model config.Model, width, shards int, warmup int64, p *probe.Probe) *allocHarness {
+	tb.Helper()
 	cfg := config.Default(model)
+	cfg.Width, cfg.Height = width, width
 	cfg.Domains = 2
 	col := stats.NewCollector(2, 0, 0)
 	meter := power.NewMeter(cfg, power.Default45nm())
@@ -50,6 +60,19 @@ func newAllocHarness(tb testing.TB, model config.Model, warmup int64, p *probe.P
 	fab, err := sim.BuildFabric(cfg, nil, sink, col, meter)
 	if err != nil {
 		tb.Fatal(err)
+	}
+	if shards > 1 {
+		ss, ok := fab.(interface {
+			SetShards(int) error
+			StopShards()
+		})
+		if !ok {
+			tb.Fatalf("%v fabric has no sharded stepping", model)
+		}
+		if err := ss.SetShards(shards); err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(ss.StopShards)
 	}
 	if p != nil {
 		col.SetProbe(p)
@@ -91,6 +114,30 @@ func (h *allocHarness) cycles(n int) {
 	}
 }
 
+// fillNIs offers every NI queue packets until it refuses one, then
+// steps until the fabric drains.  Each queue's backing array then sits
+// at its bound, InjectionQueueCap, so no later burst can grow it.  On a
+// 32×32 mesh 2048 queues reach new occupancy maxima for hundreds of
+// thousands of cycles at moderate load; filling them once replaces
+// that wait.
+func (h *allocHarness) fillNIs(tb testing.TB, mesh geom.Mesh, domains int) {
+	tb.Helper()
+	id := uint64(1) << 62 // clear of the generator's PacketID space
+	for n := 0; n < mesh.Nodes(); n++ {
+		src, dst := mesh.CoordOf(n), mesh.CoordOf((n+mesh.Nodes()/2)%mesh.Nodes())
+		for d := 0; d < domains; d++ {
+			for id++; h.fab.Inject(n, packet.New(id, src, dst, d, packet.Ctrl, h.now), h.now); id++ {
+			}
+		}
+	}
+	for start := h.now; h.fab.InFlight() > 0; {
+		if h.now-start > 100_000 {
+			tb.Fatalf("filled NIs still hold %d packets after 100k cycles", h.fab.InFlight())
+		}
+		h.stepOnly(1)
+	}
+}
+
 // stepOnly advances n cycles without generating traffic.
 func (h *allocHarness) stepOnly(n int) {
 	for i := 0; i < n; i++ {
@@ -123,25 +170,7 @@ func TestStepNoAlloc(t *testing.T) {
 				}
 				return testing.AllocsPerRun(1, func() { h.cycles(500) })
 			}
-			// Scratch buffers, link queues and VC fifos grow toward their
-			// (bounded) working capacity for tens of thousands of cycles:
-			// ever-rarer traffic bursts set new occupancy maxima.  Warm
-			// until ten consecutive 500-cycle windows are clean, then
-			// demand the next windows stay clean too — a true per-cycle
-			// leak never produces a clean window and fails the attempt
-			// budget.  The run is deterministic, so a pass is exact and
-			// repeatable, not statistical.
-			streak := 0
-			for attempt := 0; streak < 10; attempt++ {
-				if attempt == 600 {
-					t.Fatalf("%v: stepping still allocates after 300k warm-up cycles (steady-state leak)", model)
-				}
-				if window() == 0 {
-					streak++
-				} else {
-					streak = 0
-				}
-			}
+			warmUntilClean(t, model.String(), window)
 			var avg float64
 			if model == config.RUNAHEAD {
 				avg = testing.AllocsPerRun(5, func() { h.stepOnly(500) })
@@ -150,6 +179,55 @@ func TestStepNoAlloc(t *testing.T) {
 			}
 			if avg != 0 {
 				t.Errorf("%v: %.2f allocs per 500 steady-state cycles, want 0", model, avg)
+			}
+		})
+	}
+}
+
+// warmUntilClean steps window (one 500-cycle allocation count) until
+// it comes back clean ten times in a row.  Scratch buffers, link
+// queues and VC fifos grow toward their (bounded) working capacity for
+// tens of thousands of cycles: ever-rarer traffic bursts set new
+// occupancy maxima.  A true per-cycle leak never produces a clean
+// window and fails the attempt budget.  The run is deterministic, so a
+// pass is exact and repeatable, not statistical.
+func warmUntilClean(t *testing.T, name string, window func() float64) {
+	t.Helper()
+	streak := 0
+	for attempt := 0; streak < 10; attempt++ {
+		if attempt == 600 {
+			t.Fatalf("%s: stepping still allocates after 300k warm-up cycles (steady-state leak)", name)
+		}
+		if window() == 0 {
+			streak++
+		} else {
+			streak = 0
+		}
+	}
+}
+
+// TestStepNoAllocGiant holds the zero-allocation guarantee at the
+// 32×32 scale the sharding claims are made at (DESIGN.md §17), for
+// serial stepping and for four tiles, whose worker hand-offs and
+// deferred-effect replay must not allocate either.
+func TestStepNoAllocGiant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	if testing.Short() {
+		t.Skip("32×32 warm-up takes seconds")
+	}
+	for _, shards := range []int{1, 4} {
+		name := fmt.Sprintf("SB/shards=%d", shards)
+		t.Run(name, func(t *testing.T) {
+			h := newMeshAllocHarness(t, config.SB, 32, shards, 3000, nil)
+			h.fillNIs(t, geom.NewMesh(32, 32), 2)
+			warmUntilClean(t, name, func() float64 { return testing.AllocsPerRun(1, func() { h.cycles(500) }) })
+			// One long run, not an average: AllocsPerRun divides the
+			// count by its runs in integers, so a rare allocation spread
+			// over several short windows would round to zero.
+			if n := testing.AllocsPerRun(1, func() { h.cycles(5000) }); n != 0 {
+				t.Errorf("%s: %.0f allocs in 5000 steady-state 32×32 cycles, want 0", name, n)
 			}
 		})
 	}

@@ -31,11 +31,13 @@ type node struct {
 	fifo    []int
 	credits int
 	in, out *link.Line
+	east    int // bank slot of the east neighbour's input
 	ctr     obs.Counter
 }
 
 type Eng struct {
 	nodes  []*node
+	bank   *link.Bank
 	fxs    []tileFX
 	tiles  int
 	shNow  int64
@@ -62,9 +64,18 @@ func (e *Eng) recvTile(t int) {
 	}
 }
 
+// Step advances the bank's cycle cursor serially, before the phases.
+func (e *Eng) Step(now int64) {
+	e.shNow = now
+	e.bank.Advance(now)
+}
+
 func (e *Eng) receive(n *node, now int64, fx *tileFX) {
 	fx.rbuf = n.in.RecvInto(fx.rbuf[:0], now)
 	for _, v := range fx.rbuf {
+		n.fifo = append(n.fifo, v)
+	}
+	if v, ok := e.bank.Recv(n.id, now); ok {
 		n.fifo = append(n.fifo, v)
 	}
 	if fx.direct {
@@ -99,6 +110,7 @@ func (e *Eng) move(n *node, now int64, fx *tileFX) {
 	n.fifo = n.fifo[:copy(n.fifo, n.fifo[1:])]
 	n.credits--
 	n.out.Send(v, now)
+	e.bank.Send(n.east, v, now) // a neighbour's slot, through the bank
 	if e.probe != nil {
 		e.probe.Traverse(n.id, v)
 	}

@@ -5,6 +5,7 @@ package racy
 
 import (
 	"nocvet.example/internal/fault"
+	"nocvet.example/internal/link"
 	"nocvet.example/internal/power"
 	"nocvet.example/internal/probe"
 	"nocvet.example/internal/shard"
@@ -25,6 +26,7 @@ type noter interface {
 type node struct {
 	seen int
 	buf  []int
+	nb   int // a neighbour's slot index
 }
 
 type Eng struct {
@@ -34,6 +36,8 @@ type Eng struct {
 	total  int
 	armed  int
 	log    []int
+	slots  []int
+	bank   *link.Bank
 	seenBy map[int]int
 	meter  *power.Meter
 	col    *stats.Collector
@@ -72,8 +76,12 @@ func (e *Eng) resolveTile(t int) {
 		e.isink.Note(id)          // want "dynamic call through shared e\\.isink\\.Note in tile-parallel phase resolve"
 		e.seenBy[t] = id          // want "unconfined write to e\\.seenBy\\[t\\] in tile-parallel phase resolve"
 		e.log = append(e.log, id) // want "unconfined write to e\\.log in tile-parallel phase resolve"
+		// A neighbour's slot written directly, not through a link.Bank:
+		// the index comes from a table, not from the tile.
+		e.slots[e.nodes[id].nb] = id // want "unconfined write to e\\.slots\\[e\\.nodes\\[id\\]\\.nb\\] in tile-parallel phase resolve"
 	}
-	e.probe.Flush() // want "probe\\.\\(\\*Probe\\)\\.Flush folds into shared aggregate state and is effects-phase-only"
+	e.bank.Advance(e.shNow) // want "link\\.\\(\\*Bank\\)\\.Advance moves shared state and must run outside the tile-parallel phases, but is reached in tile-parallel phase resolve"
+	e.probe.Flush()         // want "probe\\.\\(\\*Probe\\)\\.Flush folds into shared aggregate state and is effects-phase-only"
 	obs.Record(e.ctr)
 }
 

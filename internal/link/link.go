@@ -2,7 +2,9 @@
 // an item sent at cycle T is delivered exactly T+delay cycles later, in
 // FIFO order.  The same primitive carries flits, whole worms (for the
 // bufferless models, whose router pipeline is folded into the hop
-// delay) and returning credits.
+// delay) and returning credits.  Bank is the flat variant for meshes
+// whose links carry at most one item per cycle: one slot per link and
+// delivery cycle instead of a queue per link.
 package link
 
 import "fmt"

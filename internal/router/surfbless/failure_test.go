@@ -1,6 +1,7 @@
 package surfbless
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -17,11 +18,14 @@ import (
 // message, or "" if nothing fired.
 func runUntilPanic(h *harness, cycles int) (msg string) {
 	defer func() {
-		if r := recover(); r != nil {
-			msg, _ = r.(string)
-			if msg == "" {
-				msg = "non-string panic"
-			}
+		switch r := recover().(type) {
+		case nil:
+		case string:
+			msg = r
+		case error:
+			msg = r.Error()
+		default:
+			msg = "non-string panic"
 		}
 	}()
 	mesh := h.cfg.Mesh()
@@ -49,15 +53,16 @@ func TestInjectedDecoderCorruptionCaught(t *testing.T) {
 		t.Fatalf("healthy fabric panicked: %s", msg)
 	}
 	// …then corrupt the decoder: domains rotate by one, so every packet
-	// already in flight is now on a "foreign" wave.
-	h.f.dec = wave.RoundRobin(h.f.sched.Smax(), 3)
+	// already in flight is now on a "foreign" wave.  The swap goes
+	// through setWaves so the derived wave tables see it too.
+	rr := wave.RoundRobin(h.f.sched.Smax(), 3)
 	rotated, err := wave.FromSets(h.f.sched.Smax(), [][]int{
-		h.f.dec.Owned(1), h.f.dec.Owned(2), h.f.dec.Owned(0),
+		rr.Owned(1), rr.Owned(2), rr.Owned(0),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.f.dec = rotated
+	h.f.setWaves(h.f.sched, rotated)
 	msg := runUntilPanic(h, 50)
 	if msg == "" {
 		t.Fatal("decoder corruption went undetected")
@@ -78,8 +83,8 @@ func TestInjectedScheduleMismatchCaught(t *testing.T) {
 	}
 	// A schedule built for P=2 on a fabric whose links take P=3: same
 	// Smax parity games don't save it — offsets diverge per hop.
-	h.f.sched = wave.New(h.cfg.Mesh(), 2)
-	h.f.dec = wave.RoundRobin(h.f.sched.Smax(), 2)
+	sched := wave.New(h.cfg.Mesh(), 2)
+	h.f.setWaves(sched, wave.RoundRobin(sched.Smax(), 2))
 	if msg := runUntilPanic(h, 80); msg == "" {
 		t.Fatal("hop-delay mismatch went undetected")
 	}
@@ -95,5 +100,30 @@ func TestInjectedConservationDriftCaught(t *testing.T) {
 	h.f.inFlight += 2 // simulate an accounting bug
 	if err := h.f.Audit(); err == nil {
 		t.Error("conservation drift went undetected")
+	}
+}
+
+// A packet left in the link bank past its delivery cycle means a router
+// skipped a collection; the bank must refuse to go on.  Stepping jumps
+// over the arrival cycle of an in-flight packet, to the next cycle that
+// reads the same bank plane.
+func TestUncollectedPacketCaught(t *testing.T) {
+	h := newHarness(t, defCfg(1), nil)
+	h.f.Inject(0, h.pkt(geom.Coord{X: 0, Y: 0}, geom.Coord{X: 3, Y: 3}, 0, packet.Ctrl), 0)
+	for h.f.links.InFlight() == 0 {
+		if h.now > 100 {
+			t.Fatal("packet never left the NI")
+		}
+		h.steps(1)
+	}
+	p := int64(h.cfg.HopDelay())
+	sent := h.now - 1
+	msg := func() (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		h.f.Step(sent + p + (p + 1))
+		return ""
+	}()
+	if !strings.Contains(msg, "not collected") {
+		t.Fatalf("skipped collection went undetected (panic: %q)", msg)
 	}
 }

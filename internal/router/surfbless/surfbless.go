@@ -28,6 +28,14 @@
 // explicit output reservation is needed because mid-window waves never
 // satisfy CanStart for a new head.
 //
+// Stepping is flat (DESIGN.md §17.4).  Every directed link is one slot
+// per cycle plane of a shared link.Bank, indexed by the receiving
+// router and input port, so a router collects its arrivals from four
+// contiguous slots.  Each port's wave scheduler is its initial counter
+// value (Eq. 1–3) plus one per-cycle counter, reduced mod Smax once per
+// Step, and a wave → startable-domain table folds the decoder's
+// Domain/CanStart pair into one lookup.
+//
 // Stepping optionally shards across an internal/shard worker pool
 // (SetShards): collecting arrivals and resolving routes become two
 // barrier-separated phases over contiguous node tiles, with meters,
@@ -73,7 +81,16 @@ type Fabric struct {
 	slot  []int // per-domain slot width (window length in waves)
 	pol   Policy
 
-	nodes []*node
+	// Wave counters, derived from sched and dec by setWaves.  startDom
+	// maps a wave to the domain whose head may start on it at that
+	// domain's slot width, or -1; tm is the cycle's counter value for a
+	// scheduler whose initial value is 0, set once per Step.
+	smax     int32
+	startDom []int32
+	tm       int32
+
+	nodes []node
+	links *link.Bank[*packet.Packet] // slot id*NumLinkDirs+d: router id's input port d
 	sink  network.Sink
 	col   *stats.Collector
 	meter *power.Meter
@@ -117,15 +134,18 @@ type tileFX struct {
 	bufR, xbar, alloc, lnk int64
 	inFlight               int
 	evts                   []lifeEvt
-
-	rbuf []*packet.Packet // per-link receive scratch, reused every cycle
 }
 
 type node struct {
-	c   geom.Coord
-	ni  *router.NI
-	in  [geom.NumLinkDirs]*link.Line[*packet.Packet]
-	out [geom.NumLinkDirs]*link.Line[*packet.Packet]
+	c  geom.Coord
+	ni *router.NI
+	// out[d] is the bank slot of the neighbour's input port that output
+	// d feeds, or -1 on a border.
+	out [geom.NumLinkDirs]int32
+	// Initial counter values of the schedulers owning each input port,
+	// each output port and the SE ejection port.
+	inW, outW [geom.NumLinkDirs]int32
+	seW       int32
 
 	// Per-cycle scratch reused across cycles (DESIGN.md §12).  A dense
 	// array of (packet, arrival direction) pairs replaces the former
@@ -198,25 +218,56 @@ func NewWithPolicy(cfg config.Config, slotWidths []int, pol Policy, sink network
 		sink: sink, col: col, meter: meter, lastStep: -1,
 	}
 	f.fx0.direct = true
-	f.nodes = make([]*node, mesh.Nodes())
+	f.nodes = make([]node, mesh.Nodes())
+	f.links = link.NewBank[*packet.Packet](mesh.Nodes()*geom.NumLinkDirs, cfg.HopDelay())
 	for id := range f.nodes {
-		f.nodes[id] = &node{
-			c:  mesh.CoordOf(id),
-			ni: router.NewNI(cfg.Domains, cfg.InjectionQueueCap),
-		}
-	}
-	p := cfg.HopDelay()
-	for _, n := range f.nodes {
+		n := &f.nodes[id]
+		n.c = mesh.CoordOf(id)
+		n.ni = router.NewNI(cfg.Domains, cfg.InjectionQueueCap)
 		for _, d := range geom.LinkDirs {
-			if !mesh.HasNeighbor(n.c, d) {
-				continue
+			n.out[d] = -1
+			if mesh.HasNeighbor(n.c, d) {
+				n.out[d] = int32(mesh.ID(n.c.Add(d))*geom.NumLinkDirs + int(d.Opposite()))
 			}
-			l := link.New[*packet.Packet](p)
-			n.out[d] = l
-			f.nodes[mesh.ID(n.c.Add(d))].in[d.Opposite()] = l
 		}
 	}
+	f.setWaves(sched, dec)
 	return f, nil
+}
+
+// setWaves installs a wave schedule and decoder and derives the
+// per-cycle counter tables from them: every port's initial counter
+// value and the wave → startable-domain table.  The tables are the
+// hot path's only view of the schedule, so sched and dec change only
+// through here.
+func (f *Fabric) setWaves(sched *wave.Schedule, dec *wave.Decoder) {
+	f.sched, f.dec = sched, dec
+	f.smax = int32(sched.Smax())
+	f.startDom = make([]int32, f.smax)
+	for w := range f.startDom {
+		f.startDom[w] = -1
+		if dom := dec.Domain(w); dom >= 0 && dec.CanStart(w, f.slot[dom]) {
+			f.startDom[w] = int32(dom)
+		}
+	}
+	for id := range f.nodes {
+		n := &f.nodes[id]
+		for _, d := range geom.LinkDirs {
+			n.inW[d] = int32(sched.InputWave(n.c, d, 0))
+			n.outW[d] = int32(sched.OutputWave(n.c, d, 0))
+		}
+		n.seW = int32(sched.OutputWave(n.c, geom.Local, 0))
+	}
+}
+
+// wave returns the wave a scheduler with initial counter value init
+// holds this cycle: (init + now) mod Smax without a division.
+func (f *Fabric) wave(init int32) int32 {
+	w := init + f.tm
+	if w >= f.smax {
+		w -= f.smax
+	}
+	return w
 }
 
 // SetProbe attaches a hot-path observer recording per-router
@@ -284,8 +335,7 @@ func (f *Fabric) Inject(nodeID int, p *packet.Packet, now int64) bool {
 	if p.Size > f.slot[p.Domain] {
 		panic(fmt.Sprintf("surfbless: %v exceeds domain %d slot width %d", p, p.Domain, f.slot[p.Domain]))
 	}
-	n := f.nodes[nodeID]
-	if !n.ni.Offer(p) {
+	if !f.nodes[nodeID].ni.Offer(p) {
 		f.col.Refused(p.Domain, now)
 		return false
 	}
@@ -302,6 +352,8 @@ func (f *Fabric) Step(now int64) {
 		panic(fmt.Sprintf("surfbless: Step(%d) after Step(%d)", now, f.lastStep))
 	}
 	f.lastStep = now
+	f.tm = int32(now % int64(f.smax))
+	f.links.Advance(now)
 	if f.recov != nil {
 		f.relaunchRetries(now)
 	}
@@ -309,18 +361,20 @@ func (f *Fabric) Step(now int64) {
 		f.stepSharded(now)
 		return
 	}
-	for id, n := range f.nodes {
-		f.collectNode(n, now, &f.fx0)
+	for id := range f.nodes {
+		n := &f.nodes[id]
+		f.collectNode(id, n, now)
 		f.resolveNode(id, n, now, &f.fx0)
 	}
 }
 
 // stepSharded runs the cycle as two barrier-separated phases over the
-// node tiles: collect (drain inbound link lines) then resolve (route,
-// forward, inject — sending on outbound lines).  Every link line has
-// exactly one reader (collect) and one writer (resolve) and a delay of
-// at least one cycle, so neither phase observes a same-cycle write and
-// the schedule is bit-identical to serial stepping.  Deferred effects
+// node tiles: collect (drain the routers' input slots) then resolve
+// (route, forward, inject — sending into neighbours' input slots).
+// Every bank slot has exactly one reader (collect) and one writer
+// (resolve), and a cycle's sends land on a different plane than its
+// receives, so neither phase observes a same-cycle write and the
+// schedule is bit-identical to serial stepping.  Deferred effects
 // replay in tile order — the serial node order.
 func (f *Fabric) stepSharded(now int64) {
 	f.shNow = now
@@ -338,13 +392,13 @@ func (f *Fabric) stepSharded(now int64) {
 	}
 }
 
-// collectTile drains one tile's inbound link lines and ejections.
+// collectTile drains one tile's input slots.
 //
 //shard:phase(receive)
 func (f *Fabric) collectTile(t int) {
 	lo, hi := shard.Range(len(f.nodes), f.tiles, t)
 	for id := lo; id < hi; id++ {
-		f.collectNode(f.nodes[id], f.shNow, &f.fxs[t])
+		f.collectNode(id, &f.nodes[id], f.shNow)
 	}
 }
 
@@ -354,7 +408,7 @@ func (f *Fabric) collectTile(t int) {
 func (f *Fabric) resolveTile(t int) {
 	lo, hi := shard.Range(len(f.nodes), f.tiles, t)
 	for id := lo; id < hi; id++ {
-		f.resolveNode(id, f.nodes[id], f.shNow, &f.fxs[t])
+		f.resolveNode(id, &f.nodes[id], f.shNow, &f.fxs[t])
 	}
 }
 
@@ -398,31 +452,39 @@ func (f *Fabric) relaunchRetries(now int64) {
 }
 
 // collectNode is the cycle's receive phase for one router: arrivals
-// drain into the node's dense scratch array under the confinement
-// invariant — a packet must arrive on a wave owned by its own domain,
-// at a window start.
-func (f *Fabric) collectNode(n *node, now int64, fx *tileFX) {
+// drain from its four input slots into the node's dense scratch array
+// under the confinement invariant — a packet must arrive on a wave
+// owned by its own domain, at a window start.
+func (f *Fabric) collectNode(id int, n *node, now int64) {
 	n.nArr = 0
+	base := id * geom.NumLinkDirs
 	for _, d := range geom.LinkDirs {
-		if n.in[d] == nil || n.in[d].Idle() {
+		p, ok := f.links.Recv(base+int(d), now)
+		if !ok {
 			continue
 		}
-		fx.rbuf = n.in[d].RecvInto(now, fx.rbuf[:0])
-		for _, p := range fx.rbuf {
-			w := f.sched.InputWave(n.c, d, now)
-			if dom := f.dec.Domain(w); dom != p.Domain {
-				//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
-				panic(fmt.Sprintf("surfbless: %v arrived at %v/%v cycle %d on wave %d of domain %d",
-					p, n.c, d, now, w, dom))
-			}
-			if !f.dec.CanStart(w, f.slot[p.Domain]) {
-				//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
-				panic(fmt.Sprintf("surfbless: %v arrived at %v/%v cycle %d mid-window (wave %d)",
-					p, n.c, d, now, w))
-			}
-			n.arrivals[n.nArr] = arrival{p: p, from: d}
-			n.nArr++
+		if f.startDom[f.wave(n.inW[d])] != int32(p.Domain) {
+			f.checkArrival(n, p, d, now)
 		}
+		n.arrivals[n.nArr] = arrival{p: p, from: d}
+		n.nArr++
+	}
+}
+
+// checkArrival re-derives an arrival's wave from the schedule and
+// decoder and panics with the violated invariant; collectNode calls it
+// when the startable-domain table rejects the arrival.
+func (f *Fabric) checkArrival(n *node, p *packet.Packet, d geom.Dir, now int64) {
+	w := f.sched.InputWave(n.c, d, now)
+	if dom := f.dec.Domain(w); dom != p.Domain {
+		//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
+		panic(fmt.Sprintf("surfbless: %v arrived at %v/%v cycle %d on wave %d of domain %d",
+			p, n.c, d, now, w, dom))
+	}
+	if !f.dec.CanStart(w, f.slot[p.Domain]) {
+		//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
+		panic(fmt.Sprintf("surfbless: %v arrived at %v/%v cycle %d mid-window (wave %d)",
+			p, n.c, d, now, w))
 	}
 }
 
@@ -430,6 +492,9 @@ func (f *Fabric) collectNode(n *node, now int64, fx *tileFX) {
 // old-first arbitration, output selection/forwarding and SE injection
 // over the arrivals collectNode gathered.
 func (f *Fabric) resolveNode(id int, n *node, now int64, fx *tileFX) {
+	if n.nArr == 0 && n.ni.Backlog() == 0 {
+		return // nothing to eject, route or inject
+	}
 	arrivals := n.arrivals[:n.nArr]
 
 	// A frozen router's pipeline is dead: the links above were still
@@ -447,9 +512,8 @@ func (f *Fabric) resolveNode(id int, n *node, now int64, fx *tileFX) {
 	// ejection port is owned by the SE scheduler's current wave, so a
 	// packet at its destination ejects only when that wave belongs to
 	// its domain — otherwise it is deflected onward (§5.1.3).
-	seWave := f.sched.OutputWave(n.c, geom.Local, now)
-	seDom := f.dec.Domain(seWave)
-	seStart := seDom >= 0 && f.dec.CanStart(seWave, f.slot[seDom])
+	seDom := int(f.startDom[f.wave(n.seW)])
+	seStart := seDom >= 0
 	ejected := -1
 	if seStart {
 		for i, a := range arrivals {
@@ -529,14 +593,13 @@ func sortArrivalsOldestFirst(as []arrival) {
 
 // eligible reports whether output d may carry p's head this cycle.
 func (f *Fabric) eligible(n *node, p *packet.Packet, d geom.Dir, now int64, taken *[geom.NumLinkDirs]bool) bool {
-	if d == geom.Local || n.out[d] == nil || taken[d] {
+	if d == geom.Local || n.out[d] < 0 || taken[d] {
 		return false
 	}
 	if f.faults != nil && f.faults.LinkDown(f.mesh.ID(n.c), d, now) {
 		return false
 	}
-	w := f.sched.OutputWave(n.c, d, now)
-	return f.dec.Domain(w) == p.Domain && f.dec.CanStart(w, f.slot[p.Domain])
+	return f.startDom[f.wave(n.outW[d])] == int32(p.Domain)
 }
 
 // pickOutput implements Step 2 of §4.3.  It returns -1 when no
@@ -599,7 +662,7 @@ func (f *Fabric) forward(n *node, p *packet.Packet, d geom.Dir, now int64, taken
 	if f.probe != nil {
 		f.probe.Traverse(f.mesh.ID(n.c), d, p, p.Size, deflected, now)
 	}
-	n.out[d].Send(p, now)
+	f.links.Send(int(n.out[d]), p, now)
 }
 
 func (f *Fabric) eject(id int, p *packet.Packet, now int64, fx *tileFX) {
@@ -635,14 +698,9 @@ func (f *Fabric) InFlight() int { return f.inFlight }
 // Audit verifies that NI queues plus link occupancy account for every
 // in-flight packet (Surf-Bless routers hold no state between cycles).
 func (f *Fabric) Audit() error {
-	n := 0
-	for _, nd := range f.nodes {
-		n += nd.ni.Backlog()
-		for _, l := range nd.out {
-			if l != nil {
-				n += l.InFlight()
-			}
-		}
+	n := f.links.InFlight()
+	for i := range f.nodes {
+		n += f.nodes[i].ni.Backlog()
 	}
 	if f.recov != nil {
 		n += f.recov.Queue.Len()

@@ -309,10 +309,17 @@ func (s *sys) post(m *coherence.Msg, now int64) {
 }
 
 // drainOutboxes injects as many pending messages as the NIs accept.
+// Empty outboxes are skipped without a write-back: most are empty most
+// cycles, and storing their slice headers back costs a write barrier
+// each.
 func (s *sys) drainOutboxes(now int64) {
 	for n := range s.outbox {
-		for vn := range s.outbox[n] {
-			q := s.outbox[n][vn]
+		boxes := s.outbox[n]
+		for vn := range boxes {
+			q := boxes[vn]
+			if len(q) == 0 {
+				continue
+			}
 			for len(q) > 0 {
 				m := q[0]
 				p := packet.New(traffic.PacketID(n, vn, uint64(s.ids.Next())),
@@ -324,7 +331,7 @@ func (s *sys) drainOutboxes(now int64) {
 				}
 				q = q[1:]
 			}
-			s.outbox[n][vn] = q
+			boxes[vn] = q
 		}
 	}
 }
