@@ -13,15 +13,19 @@
 // bucketed by the cycle they happen at, which may fall after
 // MeasureEnd for in-window packets that eject during the drain phase.
 //
-// Hot-path architecture (DESIGN.md §15): hooks do not accumulate.
-// Every hook appends one fixed-size Event into a preallocated ring
-// segment — per-router segments for the router events, one driver
-// segment for the NI/collector lifecycle stream — and all windowing,
-// bucketing and counter arithmetic happens once per ProbeEvery
-// interval when the ring drains (Probe.fold).  An append is a bounds
-// check, a capacity check and a 48-byte store: no allocation, no
-// pointer chase, no interface dispatch.  Drained batches additionally
-// fan out to attached Taps (flight recorder, Perfetto span export).
+// Hot-path architecture (DESIGN.md §15): hooks count in place.  The
+// lifecycle hooks (serial: the collector calls them) add straight into
+// the interval series, whose current bucket is cached so counting
+// costs a window compare and an indexed add.  Traverse, which tile
+// workers of sharded fabrics call concurrently, adds into its own
+// router's accumulator and parks an in-window deflection on that
+// router's pending list; Flush moves the pending deflections into
+// their buckets.  Events exist only for Taps (flight recorder,
+// Perfetto span export): while a tap is attached every hook also
+// appends one fixed-size Event into a preallocated ring segment —
+// per-router segments for router events, one driver segment for the
+// lifecycle stream — and drained batches fan out to the taps.  No
+// hook allocates, chases a pointer or dispatches through an interface.
 //
 // Overhead: a disarmed (nil) *Probe is safe to call and costs one
 // branch — fabrics guard their hot-path hooks with a nil check, and
@@ -33,6 +37,8 @@
 package probe
 
 import (
+	"math"
+
 	"surfbless/internal/geom"
 	"surfbless/internal/packet"
 )
@@ -41,11 +47,11 @@ import (
 // without choosing one.
 const DefaultEvery = 100
 
-// Ring sizing: each router gets a segment of ringBudget/nodes events
-// (clamped to [minSegCap, maxSegCap]); the driver lifecycle stream,
-// which multiplexes every NI and the per-cycle occupancy samples,
-// gets driverSegCap.  A full segment flushes early — exactness never
-// depends on capacity, only batching efficiency does.
+// Tap-ring sizing: each router gets a segment of ringBudget/nodes
+// events (clamped to [minSegCap, maxSegCap]); the driver lifecycle
+// stream, which multiplexes every NI and the per-cycle occupancy
+// samples, gets driverSegCap.  A full segment hands its batch to the
+// taps early, so no event is lost.
 const (
 	ringBudget   = 1 << 14
 	minSegCap    = 64
@@ -53,11 +59,17 @@ const (
 	driverSegCap = 4096
 )
 
-// drainStride paces ring drains: Tick flushes the ring every
-// min(Every, drainStride) cycles.  Draining more often than the bucket
-// width costs nothing in exactness (fold windows each event by its own
-// cycle) but keeps the batch working set small enough to stay
-// cache-resident while it is written and immediately re-read.
+// pendCap is each router's pending-deflection capacity.  A full list
+// is bucketed early (exactness never depends on it); fabrics stepping
+// tiles in parallel Flush every cycle, and a router deflects at most
+// one packet per out-link per cycle, so a tile worker never fills one.
+const pendCap = 32
+
+// drainStride paces drains: Tick flushes every min(Every, drainStride)
+// cycles.  Draining more often than the bucket width costs nothing in
+// exactness (every deflection is bucketed by its own cycle) but keeps
+// the pending lists and tap batches small enough to stay
+// cache-resident between write and re-read.
 const drainStride = 32
 
 // Config arms a probe for one run.
@@ -124,11 +136,28 @@ func (h Heatmap) Utilization(node int, d geom.Dir) float64 {
 	return float64(h.LinkFlits[node][d]) / float64(h.Cycles)
 }
 
-// segment is one preallocated ring region.  buf never grows after
-// Arm; n is the append cursor, reset by each flush.
+// segment is one preallocated tap-ring region.  buf never grows after
+// the first AttachTap; n is the append cursor, reset by each flush.
 type segment struct {
 	buf []Event
 	n   int
+}
+
+// deflection is one in-window deflection awaiting its interval bucket.
+type deflection struct {
+	cycle  int64
+	domain int
+}
+
+// router is one router's hot-path accumulator.  Only that router's
+// Traverse calls write it, so fabrics that step tiles in parallel may
+// call Traverse from their tile workers.
+type router struct {
+	links [geom.NumLinkDirs]int64 // in-window flits sent per out-link
+	defl  int64                   // in-window deflections
+	last  int64                   // newest cycle a Traverse reported
+	pend  []deflection            // in-window deflections not yet bucketed (fixed capacity)
+	np    int                     // live prefix of pend
 }
 
 // Probe accumulates one run's time series and heatmaps.  The zero
@@ -140,25 +169,33 @@ type Probe struct {
 	cfg   Config
 	armed bool
 
-	// Event ring: segs[node] for router events, segs[len-1] for the
-	// driver lifecycle/tick stream.
+	routers []router
+
+	// Tap ring, allocated by the first AttachTap: segs[node] for router
+	// events, segs[len-1] for the driver lifecycle/tick stream.  Empty
+	// while no tap is attached — nothing then records events.
 	segs      []segment
 	taps      []Tap
 	nextDrain int64
 	stride    int64 // drain pacing, min(Every, drainStride)
 
-	// Drain-side accumulation.  The series is flat —
-	// dom[bucket*Domains+d] — so folding an event costs one indexed
+	// Series accumulation.  The series is flat —
+	// dom[bucket*Domains+d] — so counting an event costs one indexed
 	// store, never a per-bucket pointer chase.
 	dom  []DomainSlice
 	net  []int64 // per-bucket NetInFlight
 	occ  []int64 // per-domain live occupancy (created − ejected − dropped, unwindowed)
-	last int64   // last cycle observed by any event
+	last int64   // last cycle observed by any lifecycle or tick event
 
-	routerFlits       []int64
-	routerDeflections []int64
-	routerEjections   []int64
-	linkFlits         [][geom.NumLinkDirs]int64
+	// Fast paths.  [winLo, winHi) is the measurement window with an
+	// unbounded end as MaxInt64; [curLo, curHi) is the bucket the last
+	// count touched and curIdx its series index, so consecutive events
+	// of one bucket skip bucketIdx's division.
+	winLo, winHi int64
+	curLo, curHi int64
+	curIdx       int
+
+	routerEjections []int64 // in-window ejections per destination router
 }
 
 // Armed reports whether the probe has been armed for a run.
@@ -171,27 +208,15 @@ func (pr *Probe) Arm(cfg Config) {
 		cfg.Every = DefaultEvery
 	}
 	nodes := cfg.Mesh.Nodes()
-	segCap := ringBudget / nodes
-	if segCap < minSegCap {
-		segCap = minSegCap
-	}
-	if segCap > maxSegCap {
-		segCap = maxSegCap
-	}
 	pr.cfg = cfg
 	pr.armed = true
-	pr.segs = make([]segment, nodes+1)
-	for i := 0; i < nodes; i++ {
-		pr.segs[i].buf = make([]Event, segCap)
-		// Router segments only ever hold Traverse events, whose Src/Dst
-		// are always "not recorded": pin them once so the hot-path
-		// append never writes them.
-		for j := range pr.segs[i].buf {
-			pr.segs[i].buf[j].Src = -1
-			pr.segs[i].buf[j].Dst = -1
-		}
+	pr.routers = make([]router, nodes)
+	pend := make([]deflection, nodes*pendCap)
+	for i := range pr.routers {
+		pr.routers[i].last = -1
+		pr.routers[i].pend = pend[i*pendCap : (i+1)*pendCap : (i+1)*pendCap]
 	}
-	pr.segs[nodes].buf = make([]Event, driverSegCap)
+	pr.segs = nil
 	pr.taps = nil
 	pr.stride = cfg.Every
 	if pr.stride > drainStride {
@@ -212,28 +237,63 @@ func (pr *Probe) Arm(cfg Config) {
 	pr.net = make([]int64, 0, nb)
 	pr.occ = make([]int64, cfg.Domains)
 	pr.last = -1
-	pr.routerFlits = make([]int64, nodes)
-	pr.routerDeflections = make([]int64, nodes)
+	pr.winLo, pr.winHi = cfg.WarmupEnd, cfg.MeasureEnd
+	if cfg.MeasureEnd == 0 {
+		pr.winHi = math.MaxInt64
+	}
+	pr.curLo, pr.curHi, pr.curIdx = 0, -1, 0
 	pr.routerEjections = make([]int64, nodes)
-	pr.linkFlits = make([][geom.NumLinkDirs]int64, nodes)
 }
 
 // AttachTap subscribes t to drained event batches (flight recorder,
-// span exporters).  Taps attach after Arm; Arm detaches them.
+// span exporters).  Taps attach after Arm and see the events recorded
+// from then on; Arm detaches them.  The first tap allocates the ring.
 func (pr *Probe) AttachTap(t Tap) {
+	if pr.armed && pr.segs == nil {
+		pr.allocRing()
+	}
 	pr.taps = append(pr.taps, t)
+}
+
+// allocRing builds the tap ring: one segment per router of
+// ringBudget/nodes events (clamped to [minSegCap, maxSegCap]) plus the
+// driver segment.
+func (pr *Probe) allocRing() {
+	nodes := len(pr.routers)
+	segCap := ringBudget / nodes
+	if segCap < minSegCap {
+		segCap = minSegCap
+	}
+	if segCap > maxSegCap {
+		segCap = maxSegCap
+	}
+	pr.segs = make([]segment, nodes+1)
+	for i := 0; i < nodes; i++ {
+		pr.segs[i].buf = make([]Event, segCap)
+		// Router segments only ever hold Traverse events of router i,
+		// whose Src/Dst are always "not recorded": pin Node, Src and
+		// Dst once so the hot-path append never writes them.
+		for j := range pr.segs[i].buf {
+			pr.segs[i].buf[j].Node = int32(i)
+			pr.segs[i].buf[j].Src = -1
+			pr.segs[i].buf[j].Dst = -1
+		}
+	}
+	pr.segs[nodes].buf = make([]Event, driverSegCap)
 }
 
 // inWindow mirrors stats.Collector.InWindow.
 func (pr *Probe) inWindow(createdAt int64) bool {
-	return createdAt >= pr.cfg.WarmupEnd &&
-		(pr.cfg.MeasureEnd == 0 || createdAt < pr.cfg.MeasureEnd)
+	return createdAt >= pr.winLo && createdAt < pr.winHi
 }
 
 // bucketIdx returns the series index of cycle's bucket, growing the
 // flat series as the run advances (amortized; pre-sized by Arm for
 // the measured span).
 func (pr *Probe) bucketIdx(cycle int64) int {
+	if cycle >= pr.curLo && cycle < pr.curHi {
+		return pr.curIdx
+	}
 	idx := int(cycle / pr.cfg.Every)
 	for len(pr.net) <= idx {
 		pr.net = append(pr.net, 0)
@@ -241,6 +301,9 @@ func (pr *Probe) bucketIdx(cycle int64) int {
 			pr.dom = append(pr.dom, DomainSlice{})
 		}
 	}
+	pr.curLo = int64(idx) * pr.cfg.Every
+	pr.curHi = pr.curLo + pr.cfg.Every
+	pr.curIdx = idx
 	return idx
 }
 
@@ -249,139 +312,58 @@ func (pr *Probe) slot(cycle int64, d int) *DomainSlice {
 	return &pr.dom[pr.bucketIdx(cycle)*pr.cfg.Domains+d]
 }
 
-// foldRouter drains one router segment's batch.  Router segments are
-// homogeneous — every event is a link traversal — so this skips the
-// per-event kind dispatch of the driver-stream fold.
-func (pr *Probe) foldRouter(b []Event) {
-	for i := range b {
-		e := &b[i]
-		if e.Cycle > pr.last {
-			pr.last = e.Cycle
-		}
-		if !pr.inWindow(e.Created) {
-			continue
-		}
-		f := int64(e.Flits)
-		pr.routerFlits[e.Node] += f
-		pr.linkFlits[e.Node][e.Dir] += f
-		if e.Kind == KindDeflect {
-			pr.routerDeflections[e.Node]++
-			pr.slot(e.Cycle, int(e.Domain)).Deflections++
-		}
+// see advances the newest observed cycle.
+func (pr *Probe) see(cycle int64) {
+	if cycle > pr.last {
+		pr.last = cycle
 	}
 }
 
-// fold drains one driver-stream batch into the interval series and
-// heatmaps.  This is where all windowing and bucketing happens — once
-// per batch, off the router hot path.
-func (pr *Probe) fold(b []Event) {
-	for i := range b {
-		e := &b[i]
-		if e.Cycle > pr.last {
-			pr.last = e.Cycle
-		}
-		switch e.Kind {
-		case KindCreated:
-			pr.occ[e.Domain]++
-			if pr.inWindow(e.Created) {
-				pr.slot(e.Cycle, int(e.Domain)).Created++
-			}
-		case KindRefused:
-			if pr.inWindow(e.Cycle) {
-				pr.slot(e.Cycle, int(e.Domain)).Refused++
-			}
-		case KindInjected:
-			if pr.inWindow(e.Created) {
-				pr.slot(e.Cycle, int(e.Domain)).Injected++
-			}
-		case KindEjected:
-			pr.occ[e.Domain]--
-			if pr.inWindow(e.Created) {
-				s := pr.slot(e.Cycle, int(e.Domain))
-				s.Ejected++
-				s.LatencySum += e.Cycle - e.Created
-				pr.routerEjections[e.Node]++
-			}
-		case KindDropped:
-			pr.occ[e.Domain]--
-			if pr.inWindow(e.Created) {
-				pr.slot(e.Cycle, int(e.Domain)).Dropped++
-			}
-		case KindRetransmit:
-			if pr.inWindow(e.Cycle) {
-				pr.slot(e.Cycle, int(e.Domain)).Retransmits++
-			}
-		case KindLinkBusy, KindDeflect:
-			if !pr.inWindow(e.Created) {
-				continue
-			}
-			pr.routerFlits[e.Node] += int64(e.Flits)
-			pr.linkFlits[e.Node][e.Dir] += int64(e.Flits)
-			if e.Kind == KindDeflect {
-				pr.routerDeflections[e.Node]++
-				pr.slot(e.Cycle, int(e.Domain)).Deflections++
-			}
-		case KindTick:
-			idx := pr.bucketIdx(e.Cycle)
-			pr.net[idx] = int64(e.Flits)
-			row := pr.dom[idx*pr.cfg.Domains : (idx+1)*pr.cfg.Domains]
-			for d := range row {
-				row[d].InFlight = pr.occ[d]
-			}
-		}
+// bucketDeflections moves router r's pending deflections into their
+// interval buckets.
+func (pr *Probe) bucketDeflections(r *router) {
+	for _, d := range r.pend[:r.np] {
+		pr.slot(d.cycle, d.domain).Deflections++
 	}
+	r.np = 0
 }
 
-// flush folds one driver segment and fans its batch out to the taps.
-func (pr *Probe) flush(s *segment) {
+// tapBatch hands one tap segment's batch to every tap.
+func (pr *Probe) tapBatch(s *segment) {
 	if s.n == 0 {
 		return
 	}
-	b := s.buf[:s.n]
-	pr.fold(b)
 	for _, t := range pr.taps {
-		t.Consume(b)
+		t.Consume(s.buf[:s.n])
 	}
 	s.n = 0
 }
 
-// flushRouter folds one router segment — homogeneous traversal
-// events — and fans its batch out to the taps.
-func (pr *Probe) flushRouter(s *segment) {
-	if s.n == 0 {
-		return
-	}
-	b := s.buf[:s.n]
-	pr.foldRouter(b)
-	for _, t := range pr.taps {
-		t.Consume(b)
-	}
-	s.n = 0
-}
-
-// Flush drains every ring segment — router segments in node order,
-// the driver stream last — into the series, heatmaps and taps.  The
-// accessors below call it implicitly; sim.Run calls it before taking
-// a flight-recorder snapshot so the dump holds the newest events.
+// Flush buckets every router's pending deflections and drains the tap
+// ring — router segments in node order, the driver stream last — into
+// the taps.  The accessors below call it implicitly; sim.Run calls it
+// before taking a flight-recorder snapshot so the dump holds the
+// newest events, and fabrics stepping tiles in parallel call it every
+// cycle so no router's pending list fills inside a tile worker.
 func (pr *Probe) Flush() {
 	if pr == nil || !pr.armed {
 		return
 	}
-	for i := 0; i < len(pr.segs)-1; i++ {
-		pr.flushRouter(&pr.segs[i])
+	for i := range pr.routers {
+		if r := &pr.routers[i]; r.np != 0 {
+			pr.bucketDeflections(r)
+		}
 	}
-	pr.flush(pr.driver())
+	for i := range pr.segs {
+		pr.tapBatch(&pr.segs[i])
+	}
 }
 
-// driver returns the driver lifecycle segment; callers hold the
-// pr==nil/armed guard.
-func (pr *Probe) driver() *segment { return &pr.segs[len(pr.segs)-1] }
-
-// lifecycle appends one driver-stream packet event at cycle.
-func (pr *Probe) lifecycle(kind Kind, p *packet.Packet, cycle int64, node int32) {
-	s := pr.driver()
+// record appends one driver-stream packet event at cycle for the taps.
+func (pr *Probe) record(kind Kind, p *packet.Packet, cycle int64, node int32) {
+	s := &pr.segs[len(pr.segs)-1]
 	if s.n == len(s.buf) {
-		pr.flush(s)
+		pr.tapBatch(s)
 	}
 	e := &s.buf[s.n]
 	s.n++
@@ -397,13 +379,31 @@ func (pr *Probe) lifecycle(kind Kind, p *packet.Packet, cycle int64, node int32)
 	e.Dir = 0
 }
 
-// Created records an in-window NI acceptance (and domain occupancy for
-// any packet).  Wired from stats.Collector.
+// recordBare appends one packet-less driver-stream event for the taps.
+func (pr *Probe) recordBare(e Event) {
+	s := &pr.segs[len(pr.segs)-1]
+	if s.n == len(s.buf) {
+		pr.tapBatch(s)
+	}
+	s.buf[s.n] = e
+	s.n++
+}
+
+// Created records an NI acceptance: domain occupancy for any packet,
+// the interval's Created count for an in-window one.  Wired from
+// stats.Collector.
 func (pr *Probe) Created(p *packet.Packet) {
 	if pr == nil || !pr.armed {
 		return
 	}
-	pr.lifecycle(KindCreated, p, p.CreatedAt, -1)
+	pr.see(p.CreatedAt)
+	pr.occ[p.Domain]++
+	if pr.inWindow(p.CreatedAt) {
+		pr.slot(p.CreatedAt, p.Domain).Created++
+	}
+	if len(pr.taps) != 0 {
+		pr.record(KindCreated, p, p.CreatedAt, -1)
+	}
 }
 
 // Refused records a rejected offer at cycle now.
@@ -411,13 +411,13 @@ func (pr *Probe) Refused(domain int, now int64) {
 	if pr == nil || !pr.armed {
 		return
 	}
-	s := pr.driver()
-	if s.n == len(s.buf) {
-		pr.flush(s)
+	pr.see(now)
+	if pr.inWindow(now) {
+		pr.slot(now, domain).Refused++
 	}
-	e := &s.buf[s.n]
-	s.n++
-	*e = Event{Cycle: now, Node: -1, Src: -1, Dst: -1, Domain: int16(domain), Kind: KindRefused}
+	if len(pr.taps) != 0 {
+		pr.recordBare(Event{Cycle: now, Node: -1, Src: -1, Dst: -1, Domain: int16(domain), Kind: KindRefused})
+	}
 }
 
 // Injected records an in-window packet entering the network.
@@ -425,7 +425,13 @@ func (pr *Probe) Injected(p *packet.Packet) {
 	if pr == nil || !pr.armed {
 		return
 	}
-	pr.lifecycle(KindInjected, p, p.InjectedAt, -1)
+	pr.see(p.InjectedAt)
+	if pr.inWindow(p.CreatedAt) {
+		pr.slot(p.InjectedAt, p.Domain).Injected++
+	}
+	if len(pr.taps) != 0 {
+		pr.record(KindInjected, p, p.InjectedAt, -1)
+	}
 }
 
 // Ejected records a delivery: the time series entry at the ejection
@@ -434,7 +440,18 @@ func (pr *Probe) Ejected(p *packet.Packet) {
 	if pr == nil || !pr.armed {
 		return
 	}
-	pr.lifecycle(KindEjected, p, p.EjectedAt, int32(pr.cfg.Mesh.ID(p.Dst)))
+	dst := pr.cfg.Mesh.ID(p.Dst)
+	pr.see(p.EjectedAt)
+	pr.occ[p.Domain]--
+	if pr.inWindow(p.CreatedAt) {
+		s := pr.slot(p.EjectedAt, p.Domain)
+		s.Ejected++
+		s.LatencySum += p.EjectedAt - p.CreatedAt
+		pr.routerEjections[dst]++
+	}
+	if len(pr.taps) != 0 {
+		pr.record(KindEjected, p, p.EjectedAt, int32(dst))
+	}
 }
 
 // Dropped records a packet discarded by the fault machinery after its
@@ -444,7 +461,14 @@ func (pr *Probe) Dropped(p *packet.Packet, now int64) {
 	if pr == nil || !pr.armed {
 		return
 	}
-	pr.lifecycle(KindDropped, p, now, -1)
+	pr.see(now)
+	pr.occ[p.Domain]--
+	if pr.inWindow(p.CreatedAt) {
+		pr.slot(now, p.Domain).Dropped++
+	}
+	if len(pr.taps) != 0 {
+		pr.record(KindDropped, p, now, -1)
+	}
 }
 
 // Retransmitted records one source retransmission attempt after a
@@ -453,32 +477,58 @@ func (pr *Probe) Retransmitted(p *packet.Packet, now int64) {
 	if pr == nil || !pr.armed {
 		return
 	}
-	pr.lifecycle(KindRetransmit, p, now, -1)
+	pr.see(now)
+	if pr.inWindow(now) {
+		pr.slot(now, p.Domain).Retransmits++
+	}
+	if len(pr.taps) != 0 {
+		pr.record(KindRetransmit, p, now, -1)
+	}
 }
 
 // Traverse is the router hot-path hook: flits of p left node through
 // out-link dir at cycle now; deflected marks an unproductive hop.
 // Packet-granular fabrics call it once per forward with flits =
 // p.Size; flit-granular (VC) fabrics once per link flit with flits = 1.
-// It appends one event to the node's ring segment and nothing more —
-// the accounting happens at drain time.
+// It writes only node's own accumulator (and, with taps attached,
+// node's ring segment); a deflection's interval bucket is counted at
+// the next Flush.
 func (pr *Probe) Traverse(node int, dir geom.Dir, p *packet.Packet, flits int, deflected bool, now int64) {
 	if pr == nil || !pr.armed {
 		return
 	}
-	s := &pr.segs[node]
-	n := s.n
-	if n == len(s.buf) {
-		pr.flushRouter(s)
-		n = 0
+	r := &pr.routers[node]
+	if now > r.last {
+		r.last = now
 	}
-	s.n = n + 1
-	e := &s.buf[n]
+	if pr.inWindow(p.CreatedAt) {
+		r.links[dir] += int64(flits)
+		if deflected {
+			r.defl++
+			if r.np == len(r.pend) {
+				pr.bucketDeflections(r)
+			}
+			r.pend[r.np] = deflection{cycle: now, domain: p.Domain}
+			r.np++
+		}
+	}
+	if len(pr.taps) != 0 {
+		pr.recordTraverse(node, dir, p, flits, deflected, now)
+	}
+}
+
+// recordTraverse appends one traversal event to node's ring segment.
+func (pr *Probe) recordTraverse(node int, dir geom.Dir, p *packet.Packet, flits int, deflected bool, now int64) {
+	s := &pr.segs[node]
+	if s.n == len(s.buf) {
+		pr.tapBatch(s)
+	}
+	e := &s.buf[s.n]
+	s.n++
 	e.Cycle = now
 	e.Created = p.CreatedAt
 	e.ID = p.ID
-	e.Node = int32(node)
-	// Src/Dst stay at the -1 Arm pinned into router segments.
+	// Node/Src/Dst stay at the values allocRing pinned.
 	e.Flits = int32(flits)
 	e.Domain = int16(p.Domain)
 	k := KindLinkBusy
@@ -491,23 +541,35 @@ func (pr *Probe) Traverse(node int, dir geom.Dir, p *packet.Packet, flits int, d
 
 // Tick samples occupancy at the end of cycle now; the driver calls it
 // once per cycle after Fabric.Step.  inFlight is the fabric's total
-// occupancy (network.Fabric.InFlight).  Tick also paces the ring: the
-// whole ring drains once per Every cycles.
+// occupancy (network.Fabric.InFlight).  Tick also paces the drain:
+// Flush runs every min(Every, drainStride) cycles.
 func (pr *Probe) Tick(now int64, inFlight int) {
 	if pr == nil || !pr.armed {
 		return
 	}
-	s := pr.driver()
-	if s.n == len(s.buf) {
-		pr.flush(s)
+	pr.see(now)
+	idx := pr.bucketIdx(now)
+	pr.net[idx] = int64(inFlight)
+	row := pr.dom[idx*pr.cfg.Domains : (idx+1)*pr.cfg.Domains]
+	for d := range row {
+		row[d].InFlight = pr.occ[d]
 	}
-	e := &s.buf[s.n]
-	s.n++
-	*e = Event{Cycle: now, Node: -1, Src: -1, Dst: -1, Flits: int32(inFlight), Kind: KindTick}
+	if len(pr.taps) != 0 {
+		pr.recordBare(Event{Cycle: now, Node: -1, Src: -1, Dst: -1, Flits: int32(inFlight), Kind: KindTick})
+	}
 	if now >= pr.nextDrain {
 		pr.Flush()
 		pr.nextDrain = now + pr.stride
 	}
+}
+
+// observedLast returns the newest cycle any hook reported.
+func (pr *Probe) observedLast() int64 {
+	last := pr.last
+	for i := range pr.routers {
+		last = max(last, pr.routers[i].last)
+	}
+	return last
 }
 
 // Intervals returns the recorded time series.  The trailing bucket of
@@ -530,7 +592,7 @@ func (pr *Probe) Intervals() []Interval {
 		copy(ds, pr.dom[i*D:(i+1)*D])
 		out[i] = Interval{Start: start, End: start + pr.cfg.Every, NetInFlight: pr.net[i], Domains: ds}
 	}
-	if end := pr.last + 1; end < out[nb-1].End {
+	if end := pr.observedLast() + 1; end < out[nb-1].End {
 		out[nb-1].End = end
 	}
 	return out
@@ -544,20 +606,28 @@ func (pr *Probe) Heatmap() Heatmap {
 		return Heatmap{}
 	}
 	pr.Flush()
+	n := len(pr.routers)
+	h := Heatmap{
+		Mesh:              pr.cfg.Mesh,
+		RouterFlits:       make([]int64, n),
+		RouterDeflections: make([]int64, n),
+		RouterEjections:   pr.routerEjections,
+		LinkFlits:         make([][geom.NumLinkDirs]int64, n),
+	}
+	for id := range pr.routers {
+		r := &pr.routers[id]
+		h.LinkFlits[id] = r.links
+		h.RouterFlits[id] = r.links[0] + r.links[1] + r.links[2] + r.links[3]
+		h.RouterDeflections[id] = r.defl
+	}
 	cycles := pr.cfg.MeasureEnd - pr.cfg.WarmupEnd
 	if pr.cfg.MeasureEnd == 0 {
-		if cycles = pr.last + 1 - pr.cfg.WarmupEnd; cycles < 0 {
+		if cycles = pr.observedLast() + 1 - pr.cfg.WarmupEnd; cycles < 0 {
 			cycles = 0
 		}
 	}
-	return Heatmap{
-		Mesh:              pr.cfg.Mesh,
-		RouterFlits:       pr.routerFlits,
-		RouterDeflections: pr.routerDeflections,
-		RouterEjections:   pr.routerEjections,
-		LinkFlits:         pr.linkFlits,
-		Cycles:            cycles,
-	}
+	h.Cycles = cycles
+	return h
 }
 
 // Totals sums the time series per domain — the reconciliation point

@@ -1,11 +1,15 @@
 package probe_test
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
 
 	"surfbless/internal/geom"
+	"surfbless/internal/packet"
 	"surfbless/internal/probe"
 )
 
@@ -17,20 +21,32 @@ func TestEventStaysSmall(t *testing.T) {
 	}
 }
 
-// TestRingOverflowFlushes: appending more router events than one ring
-// segment holds must flush mid-interval and lose nothing — exactness
-// never depends on segment capacity.
+// TestRingOverflowFlushes: more router events than one ring segment
+// and one pending-deflection list hold between drains must flush early
+// and lose nothing — exactness never depends on either capacity.
 func TestRingOverflowFlushes(t *testing.T) {
 	pr := &probe.Probe{}
 	// A 1×1 mesh gets the max per-router segment (1024 events);
 	// overflow it several times over from a single node.
 	pr.Arm(probe.Config{Mesh: geom.NewMesh(1, 1), Domains: 1, Every: 100})
+	bt := &batchTap{}
+	pr.AttachTap(bt)
 	const hops = 5000
 	p := pkt(1, 0, 0, 0, 0)
 	for i := 0; i < hops; i++ {
 		pr.Traverse(0, geom.East, p, 2, i%10 == 0, int64(i%50))
 	}
 	h := pr.Heatmap()
+	if len(bt.events) != hops || bt.batches < hops/1024 {
+		t.Errorf("tap saw %d events in %d batches, want %d in ≥ %d", len(bt.events), bt.batches, hops, hops/1024)
+	}
+	var defl int64
+	for _, iv := range pr.Intervals() {
+		defl += iv.Domains[0].Deflections
+	}
+	if defl != hops/10 {
+		t.Errorf("interval deflections = %d, want %d", defl, hops/10)
+	}
 	if h.RouterFlits[0] != 2*hops {
 		t.Errorf("router flits = %d, want %d", h.RouterFlits[0], 2*hops)
 	}
@@ -97,6 +113,172 @@ func TestTapSeesEveryEvent(t *testing.T) {
 	pr.Flush()
 	if len(bt.events) != 4+120 {
 		t.Errorf("re-arm did not detach the tap (saw %d events)", len(bt.events))
+	}
+}
+
+// foldEvents is a reference model of the probe's series and heatmap
+// semantics: it folds a tap's event stream in delivery order, windowing
+// every event by its creation cycle (refusals and retransmissions by
+// their own cycle) and bucketing it by its cycle.
+func foldEvents(cfg probe.Config, events []probe.Event) ([]probe.Interval, probe.Heatmap) {
+	hi := cfg.MeasureEnd
+	if hi == 0 {
+		hi = math.MaxInt64
+	}
+	in := func(c int64) bool { return c >= cfg.WarmupEnd && c < hi }
+	nodes := cfg.Mesh.Nodes()
+	h := probe.Heatmap{
+		Mesh:              cfg.Mesh,
+		RouterFlits:       make([]int64, nodes),
+		RouterDeflections: make([]int64, nodes),
+		RouterEjections:   make([]int64, nodes),
+		LinkFlits:         make([][geom.NumLinkDirs]int64, nodes),
+	}
+	var ivs []probe.Interval
+	slot := func(c int64, d int16) *probe.DomainSlice {
+		for i := int(c / cfg.Every); len(ivs) <= i; {
+			start := int64(len(ivs)) * cfg.Every
+			ivs = append(ivs, probe.Interval{Start: start, End: start + cfg.Every, Domains: make([]probe.DomainSlice, cfg.Domains)})
+		}
+		return &ivs[c/cfg.Every].Domains[d]
+	}
+	occ := make([]int64, cfg.Domains)
+	last := int64(-1)
+	for _, e := range events {
+		last = max(last, e.Cycle)
+		switch e.Kind {
+		case probe.KindCreated:
+			occ[e.Domain]++
+			if in(e.Created) {
+				slot(e.Cycle, e.Domain).Created++
+			}
+		case probe.KindRefused:
+			if in(e.Cycle) {
+				slot(e.Cycle, e.Domain).Refused++
+			}
+		case probe.KindInjected:
+			if in(e.Created) {
+				slot(e.Cycle, e.Domain).Injected++
+			}
+		case probe.KindEjected:
+			occ[e.Domain]--
+			if in(e.Created) {
+				s := slot(e.Cycle, e.Domain)
+				s.Ejected++
+				s.LatencySum += e.Cycle - e.Created
+				h.RouterEjections[e.Node]++
+			}
+		case probe.KindDropped:
+			occ[e.Domain]--
+			if in(e.Created) {
+				slot(e.Cycle, e.Domain).Dropped++
+			}
+		case probe.KindRetransmit:
+			if in(e.Cycle) {
+				slot(e.Cycle, e.Domain).Retransmits++
+			}
+		case probe.KindLinkBusy, probe.KindDeflect:
+			if in(e.Created) {
+				h.RouterFlits[e.Node] += int64(e.Flits)
+				h.LinkFlits[e.Node][e.Dir] += int64(e.Flits)
+				if e.Kind == probe.KindDeflect {
+					h.RouterDeflections[e.Node]++
+					slot(e.Cycle, e.Domain).Deflections++
+				}
+			}
+		case probe.KindTick:
+			slot(e.Cycle, 0)
+			iv := &ivs[e.Cycle/cfg.Every]
+			iv.NetInFlight = int64(e.Flits)
+			for d := range iv.Domains {
+				iv.Domains[d].InFlight = occ[d]
+			}
+		}
+	}
+	if n := len(ivs); n > 0 && last+1 < ivs[n-1].End {
+		ivs[n-1].End = last + 1
+	}
+	h.Cycles = cfg.MeasureEnd - cfg.WarmupEnd
+	if cfg.MeasureEnd == 0 {
+		h.Cycles = max(last+1-cfg.WarmupEnd, 0)
+	}
+	return ivs, h
+}
+
+// TestAccumulationMatchesEventFold: for seeded random hook sequences
+// (every hook kind, windows with and without an end, bucket widths on
+// and off the drain stride, deflection bursts past the pending-list
+// capacity), a probe without taps reports exactly the series and
+// heatmap that folding a tapped twin's event stream gives, and the
+// tapped twin reports the same as well.
+func TestAccumulationMatchesEventFold(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := probe.Config{
+			Mesh:      geom.NewMesh(1+rng.Intn(4), 1+rng.Intn(4)),
+			Domains:   1 + rng.Intn(3),
+			Every:     []int64{5, 32, 50, 100}[rng.Intn(4)],
+			WarmupEnd: int64(rng.Intn(60)),
+		}
+		if rng.Intn(2) == 0 {
+			cfg.MeasureEnd = cfg.WarmupEnd + 50 + int64(rng.Intn(300))
+		}
+		plain, tapped := &probe.Probe{}, &probe.Probe{}
+		plain.Arm(cfg)
+		tapped.Arm(cfg)
+		bt := &batchTap{}
+		tapped.AttachTap(bt)
+		both := func(f func(pr *probe.Probe)) { f(plain); f(tapped) }
+		nodes := cfg.Mesh.Nodes()
+		var id uint64
+		// The run's tail is router events only, so the observed span
+		// ends on a Traverse.
+		end := 600 + int64(rng.Intn(50))
+		for now := int64(0); now < end; now++ {
+			tail := now >= end-10
+			for k := rng.Intn(8); k > 0; k-- {
+				id++
+				c := cfg.Mesh.CoordOf(rng.Intn(nodes))
+				p := packet.New(id, c, cfg.Mesh.CoordOf(rng.Intn(nodes)), rng.Intn(cfg.Domains), packet.Ctrl, now-int64(rng.Intn(80)))
+				p.InjectedAt, p.EjectedAt = now, now
+				kind := rng.Intn(8)
+				if tail {
+					kind = 7
+				}
+				switch kind {
+				case 0:
+					both(func(pr *probe.Probe) { pr.Created(p) })
+				case 1:
+					both(func(pr *probe.Probe) { pr.Refused(p.Domain, now) })
+				case 2:
+					both(func(pr *probe.Probe) { pr.Injected(p) })
+				case 3:
+					both(func(pr *probe.Probe) { pr.Ejected(p) })
+				case 4:
+					both(func(pr *probe.Probe) { pr.Dropped(p, now) })
+				case 5:
+					both(func(pr *probe.Probe) { pr.Retransmitted(p, now) })
+				default:
+					node, dir := rng.Intn(nodes), geom.LinkDirs[rng.Intn(geom.NumLinkDirs)]
+					flits, defl := 1+rng.Intn(5), rng.Intn(3) == 0
+					for n := 1 + rng.Intn(40)*rng.Intn(2); n > 0; n-- {
+						both(func(pr *probe.Probe) { pr.Traverse(node, dir, p, flits, defl, now) })
+					}
+				}
+			}
+			if occ := rng.Intn(100); occ != 0 && !tail {
+				both(func(pr *probe.Probe) { pr.Tick(now, occ) })
+			}
+		}
+		gotIvs, gotHeat := plain.Intervals(), plain.Heatmap()
+		tapIvs, tapHeat := tapped.Intervals(), tapped.Heatmap()
+		wantIvs, wantHeat := foldEvents(cfg, bt.events)
+		if !reflect.DeepEqual(gotIvs, wantIvs) || !reflect.DeepEqual(tapIvs, wantIvs) {
+			t.Fatalf("seed %d: intervals differ from the event fold\nplain:  %+v\ntapped: %+v\nfold:   %+v", seed, gotIvs, tapIvs, wantIvs)
+		}
+		if !reflect.DeepEqual(gotHeat, wantHeat) || !reflect.DeepEqual(tapHeat, wantHeat) {
+			t.Fatalf("seed %d: heatmap differs from the event fold\nplain:  %+v\ntapped: %+v\nfold:   %+v", seed, gotHeat, tapHeat, wantHeat)
+		}
 	}
 }
 

@@ -46,9 +46,9 @@ func probedRun(t *testing.T, sources []traffic.Source, every int64, shards int) 
 // TestProbeReconciliation is the exactness contract: on a drained 8×8
 // SB run, the probe's per-domain time-series totals and its heatmap
 // sums must equal the collector's aggregate stats to the packet — on
-// the serial path and, identically, on the sharded path (router
-// segments are tile-local and drained at the per-cycle barrier, so
-// their contents interleave deterministically across tiles).
+// the serial path and, identically, on the sharded path (tile workers
+// count into their own routers' accumulators, and the per-cycle Flush
+// buckets pending deflections after the tile phases).
 func TestProbeReconciliation(t *testing.T) {
 	res, p := probedRun(t, ctrlSources(2, 0.05), 100, 1)
 	reconcileProbe(t, res, p)
