@@ -55,10 +55,10 @@
 //	                                     sanctioned cross-tile channel)
 //	                 Bank.Advance        serial-only (moves the bank's
 //	                                     shared cycle cursor)
-//	                 other Bank methods  safe (one slot per link and
-//	                                     cycle plane; a cycle's sends
-//	                                     and receives use distinct
-//	                                     planes)
+//	                 other Bank methods  safe (one slot and due flag
+//	                                     per link and cycle plane; a
+//	                                     cycle's sends and receives
+//	                                     use distinct planes)
 //	internal/probe   Flush               effects-only
 //	                 everything else     safe (Traverse writes only its
 //	                                     router's accumulator and ring

@@ -75,8 +75,12 @@ func (e *Eng) receive(n *node, now int64, fx *tileFX) {
 	for _, v := range fx.rbuf {
 		n.fifo = append(n.fifo, v)
 	}
-	if v, ok := e.bank.Recv(n.id, now); ok {
-		n.fifo = append(n.fifo, v)
+	// The bank's due flags gate the slot read: a summary kept inside
+	// the bank, written only through Send and Recv.
+	if e.bank.Any(n.id, 1) {
+		if v, ok := e.bank.Recv(n.id, now); ok {
+			n.fifo = append(n.fifo, v)
+		}
 	}
 	if fx.direct {
 		e.meter.BufferWrite(1)

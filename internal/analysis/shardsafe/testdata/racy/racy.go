@@ -37,6 +37,7 @@ type Eng struct {
 	armed  int
 	log    []int
 	slots  []int
+	wake   []bool
 	bank   *link.Bank
 	seenBy map[int]int
 	meter  *power.Meter
@@ -53,6 +54,7 @@ func (e *Eng) recvTile(t int) {
 	lo, hi := shard.Range(len(e.nodes), e.tiles, t)
 	for id := lo; id < hi; id++ {
 		e.drain(e.nodes[id])
+		e.wake[id] = false // the tile's own flags: confined
 	}
 	for _, n := range e.nodes { // every node, not the tile's slice
 		n.seen++ // want "unconfined write to n\\.seen in tile-parallel phase receive \\(via racy\\.\\(\\*Eng\\)\\.recvTile\\)"
@@ -79,6 +81,10 @@ func (e *Eng) resolveTile(t int) {
 		// A neighbour's slot written directly, not through a link.Bank:
 		// the index comes from a table, not from the tile.
 		e.slots[e.nodes[id].nb] = id // want "unconfined write to e\\.slots\\[e\\.nodes\\[id\\]\\.nb\\] in tile-parallel phase resolve"
+		// A hand-rolled wake array beside the bank: raising a
+		// neighbour's flag is a raw cross-tile write, where the bank's
+		// own due flags are written only behind Send.
+		e.wake[e.nodes[id].nb] = true // want "unconfined write to e\\.wake\\[e\\.nodes\\[id\\]\\.nb\\] in tile-parallel phase resolve"
 	}
 	e.bank.Advance(e.shNow) // want "link\\.\\(\\*Bank\\)\\.Advance moves shared state and must run outside the tile-parallel phases, but is reached in tile-parallel phase resolve"
 	e.probe.Flush()         // want "probe\\.\\(\\*Probe\\)\\.Flush folds into shared aggregate state and is effects-phase-only"

@@ -3,24 +3,30 @@ package link
 import "fmt"
 
 // Bank is a set of fixed-delay channels that each carry at most one
-// item per cycle — the bufferless links of a deflection mesh — laid
-// out flat: delay+1 planes of one slot per channel, indexed by
-// delivery cycle mod delay+1.  An item sent at cycle T lands in plane
-// (T+delay) mod (delay+1) and is received from it at T+delay.  The
-// extra plane keeps the plane being written in a cycle distinct from
-// the plane being read, so one cycle's receives and sends never touch
-// the same slot, in any router order.
+// item per cycle — a bufferless mesh's packet links, or a VC mesh's
+// flit and credit links — laid out flat: delay+1 planes of one slot
+// per channel, indexed by delivery cycle mod delay+1.  An item sent at
+// cycle T lands in plane (T+delay) mod (delay+1) and is received from
+// it at T+delay.  The extra plane keeps the plane being written in a
+// cycle distinct from the plane being read, so one cycle's receives
+// and sends never touch the same slot, in any router order.
+//
+// Beside the slots, a dense due flag per slot and plane summarizes
+// occupancy: Send sets it and Recv clears it, and Any reads a run of
+// them, so a receiver learns that none of its channels has anything due
+// from a few bytes instead of a slot per channel.
 //
 // The cycle cursor moves only through Advance, which the stepping loop
-// calls once per cycle before any Send or Recv.  Send and Recv then
-// touch only the addressed slot, so concurrent callers addressing
-// distinct channels need no synchronization.  The zero value is
-// unusable; construct with NewBank.
+// calls once per cycle before any Send or Recv.  Send, Recv and Any
+// then touch only the addressed slots and flags, so concurrent callers
+// addressing distinct channels need no synchronization.  The zero
+// value is unusable; construct with NewBank.
 type Bank[T any] struct {
 	delay  int64
 	planes int64
 	links  int
-	slots  []slot[T] // planes × links, plane-major; at < 0 marks a free slot
+	slots  []slot[T] // planes × links, plane-major
+	due    []bool    // parallel to slots: the slot holds an item
 
 	now    int64 // cycle set by Advance
 	rx, tx int   // first slot of the planes Recv reads and Send writes at now
@@ -42,10 +48,8 @@ func NewBank[T any](links, delay int) *Bank[T] {
 		planes: int64(delay) + 1,
 		links:  links,
 		slots:  make([]slot[T], (delay+1)*links),
+		due:    make([]bool, (delay+1)*links),
 		now:    -1,
-	}
-	for i := range b.slots {
-		b.slots[i].at = -1
 	}
 	return b
 }
@@ -69,11 +73,12 @@ func (b *Bank[T]) Advance(now int64) {
 // one cycle, or an earlier item never collected) or if now is not the
 // cycle the bank was advanced to.
 func (b *Bank[T]) Send(link int, item T, now int64) {
-	s := &b.slots[b.tx+link]
-	if s.at >= 0 || now != b.now {
-		panic(bankFault{send: true, link: link, at: s.at, now: now, bankNow: b.now})
+	i := b.tx + link
+	if b.due[i] || now != b.now {
+		panic(bankFault{send: true, link: link, at: b.slots[i].at, now: now, bankNow: b.now})
 	}
-	s.at, s.item = now+b.delay, item
+	b.slots[i] = slot[T]{at: now + b.delay, item: item}
+	b.due[i] = true
 }
 
 // Recv removes and returns the item due on channel link at cycle now;
@@ -81,22 +86,38 @@ func (b *Bank[T]) Send(link int, item T, now int64) {
 // has already passed undelivered — the receiver skipped a cycle — as
 // Line does.
 func (b *Bank[T]) Recv(link int, now int64) (item T, ok bool) {
-	s := &b.slots[b.rx+link]
-	if s.at != now {
-		if s.at >= 0 {
-			panic(bankFault{link: link, at: s.at, now: now, bankNow: b.now})
-		}
+	i := b.rx + link
+	if !b.due[i] {
 		return item, false
 	}
-	item, s.item, s.at = s.item, item, -1
+	s := &b.slots[i]
+	if s.at != now {
+		panic(bankFault{link: link, at: s.at, now: now, bankNow: b.now})
+	}
+	item, s.item = s.item, item
+	b.due[i] = false
 	return item, true
+}
+
+// Any reports whether any of the n channels first, first+1, … has an
+// item in the plane Recv reads at the current cycle: one due now, or
+// one whose delivery cycle passed uncollected (which Recv then
+// reports).  A receiver whose channels are contiguous tests them all
+// before touching a single slot.
+func (b *Bank[T]) Any(first, n int) bool {
+	for _, d := range b.due[b.rx+first : b.rx+first+n] {
+		if d {
+			return true
+		}
+	}
+	return false
 }
 
 // InFlight returns the number of items currently traversing the bank.
 func (b *Bank[T]) InFlight() int {
 	n := 0
-	for i := range b.slots {
-		if b.slots[i].at >= 0 {
+	for _, d := range b.due {
+		if d {
 			n++
 		}
 	}

@@ -94,6 +94,40 @@ func TestBankMissedCollectionPanics(t *testing.T) {
 	}
 }
 
+// Any reads the due flags of a run of links in the plane Recv reads
+// this cycle: an item due now raises it, an item in flight on another
+// plane does not, and the Recv that collects the item clears it.
+func TestBankAny(t *testing.T) {
+	b := NewBank[int](4, 2)
+	b.Advance(0)
+	if b.Any(0, 4) {
+		t.Fatal("Any on an empty bank")
+	}
+	b.Send(2, 7, 0) // due at 2
+	b.Advance(1)
+	b.Send(1, 8, 1) // due at 3: another plane
+	if b.Any(0, 4) {
+		t.Fatal("Any at cycle 1 sees items due at 2 and 3")
+	}
+	b.Advance(2)
+	if !b.Any(0, 4) || !b.Any(2, 1) || !b.Any(1, 2) {
+		t.Fatal("Any at cycle 2 misses the item due on link 2")
+	}
+	if b.Any(0, 2) || b.Any(3, 1) {
+		t.Fatal("Any at cycle 2 reports links 0, 1 or 3, whose items are due at 3 or never")
+	}
+	if item, ok := b.Recv(2, 2); !ok || item != 7 {
+		t.Fatalf("Recv(2, 2) = %d, %v, want 7, true", item, ok)
+	}
+	if b.Any(0, 4) {
+		t.Fatal("Any still set after Recv collected the item")
+	}
+	b.Advance(3)
+	if !b.Any(1, 1) || b.Any(2, 2) {
+		t.Fatal("Any at cycle 3 does not isolate link 1")
+	}
+}
+
 func TestBankCycleDiscipline(t *testing.T) {
 	b := NewBank[int](1, 1)
 	b.Advance(4)
@@ -105,10 +139,11 @@ func TestBankCycleDiscipline(t *testing.T) {
 
 // TestBankMatchesLine is a seeded differential test: for random
 // schedules with at most one send per link per cycle, a Bank delivers
-// the same items on the same cycles as one Line per link.  Within a
-// cycle the links are visited in random order and each link's send
-// goes before or after its receive at random, as routers stepping in
-// any order would issue them.
+// the same items on the same cycles as one Line per link, and Any over
+// a link before its receive says exactly whether the Line has an item
+// due.  Within a cycle the links are visited in random order and each
+// link's send goes before or after its receive at random, as routers
+// stepping in any order would issue them.
 func TestBankMatchesLine(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -124,6 +159,10 @@ func TestBankMatchesLine(t *testing.T) {
 		for now := int64(rng.Intn(3)); now < 400; now++ {
 			b.Advance(now)
 			recv := func(l int) {
+				lineDue := len(lines[l].queue) > 0 && lines[l].queue[0].at == now
+				if got := b.Any(l, 1); got != lineDue {
+					t.Fatalf("seed %d, cycle %d, link %d: Any %v, line has an item due %v", seed, now, l, got, lineDue)
+				}
 				want := lines[l].Recv(now)
 				got, ok := b.Recv(l, now)
 				switch {

@@ -1,10 +1,11 @@
 // Package link models pipelined point-to-point channels as delay lines:
 // an item sent at cycle T is delivered exactly T+delay cycles later, in
-// FIFO order.  The same primitive carries flits, whole worms (for the
-// bufferless models, whose router pipeline is folded into the hop
-// delay) and returning credits.  Bank is the flat variant for meshes
-// whose links carry at most one item per cycle: one slot per link and
-// delivery cycle instead of a queue per link.
+// FIFO order.  Line is one such channel, carrying whole packets for the
+// deflection routers (BLESS, CHIPPER, RUNAHEAD), whose router pipeline
+// is folded into the hop delay.  Bank is the flat variant for meshes
+// whose links carry at most one item per cycle — SB's packets, and the
+// VC routers' flits and credits: one slot per link and delivery cycle
+// instead of a queue per link.
 package link
 
 import "fmt"
@@ -89,8 +90,3 @@ func (l *Line[T]) RecvInto(now int64, buf []T) []T {
 
 // InFlight returns the number of items currently traversing the line.
 func (l *Line[T]) InFlight() int { return len(l.queue) }
-
-// Idle reports whether nothing is traversing the line.  It is a cheap
-// inlinable guard: receive paths test it before RecvInto to skip the
-// call overhead on the common empty line.
-func (l *Line[T]) Idle() bool { return len(l.queue) == 0 }

@@ -458,6 +458,9 @@ func (f *Fabric) relaunchRetries(now int64) {
 func (f *Fabric) collectNode(id int, n *node, now int64) {
 	n.nArr = 0
 	base := id * geom.NumLinkDirs
+	if !f.links.Any(base, geom.NumLinkDirs) {
+		return
+	}
 	for _, d := range geom.LinkDirs {
 		p, ok := f.links.Recv(base+int(d), now)
 		if !ok {

@@ -26,6 +26,14 @@
 // while visiting candidates in exactly the (dir, VC) order of the
 // reference implementation, so arbitration outcomes are bit-identical.
 //
+// Links are two slotted link.Banks shared by the whole mesh, one for
+// flits and one for returning credits, each slot owned by the router
+// that reads it.  A router receives only when its slots' due flags say
+// something arrived, and allocates and traverses only while busy —
+// holding a flit, an injection worm or a queued packet — so stepping
+// costs what the traffic costs, not what the mesh size costs (DESIGN.md
+// §17.5).
+//
 // Stepping optionally shards across an internal/shard worker pool
 // (SetShards): receive and allocate/traverse become two barrier-
 // separated phases over contiguous node tiles, with meters, lifecycle
@@ -135,16 +143,6 @@ type creditMsg struct {
 	vc int
 }
 
-type inPort struct {
-	flitsIn   *link.Line[flitMsg]   // nil for absent ports
-	creditOut *link.Line[creditMsg] // credits back upstream
-}
-
-type outPort struct {
-	flitsOut *link.Line[flitMsg]   // nil for Local and absent ports
-	creditIn *link.Line[creditMsg] // credits from downstream
-}
-
 type injState struct {
 	active bool
 	outDir geom.Dir
@@ -173,11 +171,26 @@ type node struct {
 	id int
 	ni *router.NI
 
+	// busy marks a router that may have work: a buffered flit, an
+	// active injection worm or a queued NI packet.  Inject and flit
+	// arrivals set it, and the router's own allocate/traverse pass
+	// recomputes it; routers without it skip that pass, which would
+	// find nothing to do.
+	busy bool
+
 	inj       []injState
 	injActive int // live injState count; skips the arbitration fallback scan
 
-	in  [geom.NumDirs]inPort // Local unused (injection is the NI)
-	out [geom.NumDirs]outPort
+	// routed[o] counts the worms — input VCs and injection worms —
+	// routed to output o; switch traversal arbitrates only outputs with
+	// one.  Route computation increments it and the tail's grant
+	// decrements it.
+	routed [geom.NumDirs]int32
+
+	// out[d] is the flit-bank slot of the downstream input port that
+	// output d feeds, -1 on a border; up[d] is the lane-0 credit-bank
+	// slot of the upstream output that feeds input port d.
+	out, up [geom.NumLinkDirs]int32
 
 	fifo    []packet.Flit
 	head    []int32
@@ -224,8 +237,6 @@ type tileFX struct {
 
 	// per-cycle scratch, engine/tile-owned and reused across cycles
 	// (DESIGN.md §12)
-	credBuf []creditMsg
-	flitBuf []flitMsg
 	reqs    []request
 	domReqs [][]request // per-domain ejection candidates (lanes > 1 only)
 	domList []int       // domains present this arbitration, in arrival order
@@ -242,6 +253,15 @@ type Engine struct {
 	probe *probe.Probe // nil = no spatial observation
 
 	faults *fault.Injector // nil = fault-free (hot path untouched)
+
+	// Every directed link's flit channel and credit channels, in two
+	// banks whose slots are grouped by receiving router: flits at slot
+	// id·4 + input port, credits at (id·4 + output)·lanes + lane.  One
+	// grant per output per cycle fills a flit slot at most once, and
+	// an input port forwards at most one flit per lane per cycle, so a
+	// credit slot too takes at most one item per cycle.
+	flitLinks   *link.Bank[flitMsg]
+	creditLinks *link.Bank[creditMsg]
 
 	lanes    int // input-port bandwidth lanes (1, or #domains when wave-gated)
 	inFlight int
@@ -342,24 +362,24 @@ func New(opt Options, sink network.Sink, col *stats.Collector, meter *power.Mete
 		}
 		e.nodes[id] = n
 	}
-	// Wire flit and credit lines, and initialize per-output credit state
-	// mirroring the downstream VC layout.
-	hop := cfg.HopDelay()
+	// Wire every output to its downstream input port's flit slot and
+	// every input port to its upstream output's credit slots, and
+	// initialize per-output credit state mirroring the downstream VC
+	// layout.
+	e.flitLinks = link.NewBank[flitMsg](len(e.nodes)*geom.NumLinkDirs, cfg.HopDelay())
+	e.creditLinks = link.NewBank[creditMsg](len(e.nodes)*geom.NumLinkDirs*e.lanes, 1)
 	for _, n := range e.nodes {
 		for _, d := range geom.LinkDirs {
+			n.out[d], n.up[d] = -1, -1
 			if !e.mesh.HasNeighbor(n.c, d) {
 				continue
 			}
-			peer := e.nodes[e.mesh.ID(n.c.Add(d))]
-			fl := link.New[flitMsg](hop)
-			cl := link.New[creditMsg](1)
-			n.out[d].flitsOut = fl
-			n.out[d].creditIn = cl
+			peer := e.mesh.ID(n.c.Add(d))
+			n.out[d] = int32(peer*geom.NumLinkDirs + int(d.Opposite()))
+			n.up[d] = int32((peer*geom.NumLinkDirs + int(d.Opposite())) * e.lanes)
 			for v, s := range opt.VCs {
 				n.credits[int(d)*e.nvc+v] = int32(s.Depth)
 			}
-			peer.in[d.Opposite()].flitsIn = fl
-			peer.in[d.Opposite()].creditOut = cl
 		}
 	}
 	return e, nil
@@ -475,6 +495,7 @@ func (e *Engine) Inject(nodeID int, p *packet.Packet, now int64) bool {
 	e.col.Created(p)
 	e.meter.BufferWrite(p.Size)
 	e.inFlight++
+	n.busy = true
 	return true
 }
 
@@ -485,6 +506,8 @@ func (e *Engine) Step(now int64) {
 		panic(fmt.Sprintf("wormhole: Step(%d) after Step(%d)", now, e.lastStep))
 	}
 	e.lastStep = now
+	e.flitLinks.Advance(now)
+	e.creditLinks.Advance(now)
 	if e.pool != nil && e.faults == nil {
 		e.stepSharded(now)
 		return
@@ -496,21 +519,21 @@ func (e *Engine) Step(now int64) {
 	for id, n := range e.nodes {
 		// A frozen router still receives (upstream credits bound what can
 		// arrive) but allocates and grants nothing until it thaws.
-		if e.faults != nil && e.faults.Frozen(id, now) {
+		if !n.busy || e.faults != nil && e.faults.Frozen(id, now) {
 			continue
 		}
-		e.allocate(n, now, fx)
-		e.switchTraversal(n, now, fx)
+		e.move(n, now, fx)
 	}
 }
 
 // stepSharded is Step's two-phase tiled schedule: every tile drains
-// its inbound lines (phase R), barrier, every tile allocates and
-// traverses (phase F, sending on outbound lines), barrier, then the
-// tiles' deferred effects replay in tile order.  Each link line has
-// one reader (phase R) and one writer (phase F) and ≥1 cycle of delay,
-// so no phase observes a same-cycle write and the result is
-// bit-identical to the serial walk.
+// its inbound bank slots (phase R), barrier, every tile allocates and
+// traverses (phase F, sending into its neighbours' slots), barrier,
+// then the tiles' deferred effects replay in tile order.  Each bank
+// slot has one reader (phase R) and one writer (phase F), and a
+// cycle's sends land on a different plane than its receives, so no
+// phase observes a same-cycle write and the result is bit-identical to
+// the serial walk.
 func (e *Engine) stepSharded(now int64) {
 	e.shNow = now
 	e.pool.Run(e.tiles, e.recvFn)
@@ -528,7 +551,7 @@ func (e *Engine) stepSharded(now int64) {
 	}
 }
 
-// recvTile drains one tile's inbound link lines into router FIFOs.
+// recvTile drains one tile's inbound bank slots into router FIFOs.
 //
 //shard:phase(receive)
 func (e *Engine) recvTile(t int) {
@@ -546,9 +569,29 @@ func (e *Engine) moveTile(t int) {
 	lo, hi := shard.Range(len(e.nodes), e.tiles, t)
 	fx := &e.fxs[t]
 	for _, n := range e.nodes[lo:hi] {
-		e.allocate(n, e.shNow, fx)
-		e.switchTraversal(n, e.shNow, fx)
+		if n.busy {
+			e.move(n, e.shNow, fx)
+		}
 	}
+}
+
+// move is one busy router's allocate/traverse pass; it leaves busy set
+// only if the router still holds work.
+func (e *Engine) move(n *node, now int64, fx *tileFX) {
+	e.allocate(n, now, fx)
+	e.switchTraversal(n, now, fx)
+	n.busy = n.injActive > 0 || n.ni.Backlog() > 0 || holdsFlits(n)
+}
+
+// holdsFlits reports whether any of the router's input FIFOs is
+// non-empty.
+func holdsFlits(n *node) bool {
+	for _, w := range n.occ {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // applyFX merges one tile's deferred effects: meter counters, global
@@ -582,42 +625,55 @@ func (e *Engine) applyFX(fx *tileFX, now int64) {
 	fx.evts = fx.evts[:0]
 }
 
-// receive drains credit and flit lines into router state.
+// receive drains the router's credit and flit slots into its state.
+// The banks' due flags for the router's slots are contiguous, so a
+// router with nothing arriving returns after reading a few bytes.
 func (e *Engine) receive(n *node, now int64, fx *tileFX) {
+	fb := n.id * geom.NumLinkDirs
+	cb := fb * e.lanes
+	credits := e.creditLinks.Any(cb, geom.NumLinkDirs*e.lanes)
+	flits := e.flitLinks.Any(fb, geom.NumLinkDirs)
+	if !credits && !flits {
+		return
+	}
 	for _, d := range geom.LinkDirs {
-		if cl := n.out[d].creditIn; cl != nil && !cl.Idle() {
-			fx.credBuf = cl.RecvInto(now, fx.credBuf[:0])
-			for _, m := range fx.credBuf {
-				cr := &n.credits[int(d)*e.nvc+m.vc]
-				*cr++
-				if *cr > e.depth[m.vc] {
-					//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
-					panic(fmt.Sprintf("wormhole: credit overflow at %v/%v vc %d", n.c, d, m.vc))
-				}
+		for l := 0; credits && l < e.lanes; l++ {
+			m, ok := e.creditLinks.Recv(cb+int(d)*e.lanes+l, now)
+			if !ok {
+				continue
+			}
+			cr := &n.credits[int(d)*e.nvc+m.vc]
+			*cr++
+			if *cr > e.depth[m.vc] {
+				//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
+				panic(fmt.Sprintf("wormhole: credit overflow at %v/%v vc %d", n.c, d, m.vc))
 			}
 		}
-		if fl := n.in[d].flitsIn; fl != nil && !fl.Idle() {
-			fx.flitBuf = fl.RecvInto(now, fx.flitBuf[:0])
-			for _, m := range fx.flitBuf {
-				pv := int(d)*e.nvc + m.vc
-				dep := e.depth[m.vc]
-				if n.cnt[pv] >= dep {
-					//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
-					panic(fmt.Sprintf("wormhole: buffer overflow at %v/%v vc %d", n.c, d, m.vc))
-				}
-				slot := int(n.head[pv]) + int(n.cnt[pv])
-				if slot >= int(dep) {
-					slot -= int(dep)
-				}
-				n.fifo[int(d)*e.sumDepth+e.vcOff[m.vc]+slot] = m.f
-				n.cnt[pv]++
-				n.occ[int(d)*e.words+m.vc>>6] |= 1 << uint(m.vc&63)
-				if fx.direct {
-					e.meter.BufferWrite(1)
-				} else {
-					fx.bufW++
-				}
-			}
+		if !flits {
+			continue
+		}
+		m, ok := e.flitLinks.Recv(fb+int(d), now)
+		if !ok {
+			continue
+		}
+		pv := int(d)*e.nvc + m.vc
+		dep := e.depth[m.vc]
+		if n.cnt[pv] >= dep {
+			//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
+			panic(fmt.Sprintf("wormhole: buffer overflow at %v/%v vc %d", n.c, d, m.vc))
+		}
+		slot := int(n.head[pv]) + int(n.cnt[pv])
+		if slot >= int(dep) {
+			slot -= int(dep)
+		}
+		n.fifo[int(d)*e.sumDepth+e.vcOff[m.vc]+slot] = m.f
+		n.cnt[pv]++
+		n.occ[int(d)*e.words+m.vc>>6] |= 1 << uint(m.vc&63)
+		n.busy = true
+		if fx.direct {
+			e.meter.BufferWrite(1)
+		} else {
+			fx.bufW++
 		}
 	}
 }
@@ -681,9 +737,10 @@ func (e *Engine) routeClaim(n *node, p *packet.Packet, fx *tileFX) (geom.Dir, in
 		} else {
 			fx.alloc++
 		}
+		n.routed[geom.Local]++
 		return geom.Local, -1, true
 	}
-	if n.out[d].flitsOut == nil {
+	if n.out[d] < 0 {
 		//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
 		panic(fmt.Sprintf("wormhole: X-Y route of %v leaves the mesh at %v", p, n.c))
 	}
@@ -708,6 +765,7 @@ func (e *Engine) routeClaim(n *node, p *packet.Packet, fx *tileFX) (geom.Dir, in
 		return 0, 0, false
 	}
 	n.owner[base+pick] = p
+	n.routed[d]++
 	if fx.direct {
 		e.meter.Allocation(1)
 	} else {
@@ -716,22 +774,12 @@ func (e *Engine) routeClaim(n *node, p *packet.Packet, fx *tileFX) (geom.Dir, in
 	return d, pick, true
 }
 
-// switchTraversal arbitrates each output port and moves winning flits.
+// switchTraversal arbitrates each output port some worm is routed to
+// and moves winning flits.  An output no worm is routed to has no
+// candidates, and route computation never picks an absent one.
 func (e *Engine) switchTraversal(n *node, now int64, fx *tileFX) {
-	// Idle fast path: with every input FIFO empty there are no VC
-	// candidates (arbitration needs want ∧ occ), and with no active
-	// injection worm there are no NI candidates either — nothing can be
-	// granted, so skip the per-output scans entirely.
-	occAny := uint64(0)
-	for _, w := range n.occ {
-		occAny |= w
-	}
-	if occAny == 0 && n.injActive == 0 {
-		return
-	}
-
 	for _, o := range geom.OutputDirs {
-		if o != geom.Local && n.out[o].flitsOut == nil {
+		if n.routed[o] == 0 {
 			continue
 		}
 		// A killed output link wins no allocation: flits wait in their
@@ -886,7 +934,7 @@ func (e *Engine) grant(n *node, o geom.Dir, r request, now int64, fx *tileFX) {
 		} else {
 			fx.bufR++
 		}
-		n.in[r.port].creditOut.Send(creditMsg{vc: r.vc}, now)
+		e.creditLinks.Send(int(n.up[r.port])+e.lane(f.Pkt), creditMsg{vc: r.vc}, now)
 		n.inUsed[int(r.port)*e.lanes+e.lane(f.Pkt)] = now
 		if f.Tail() {
 			n.act[wi] &^= bit
@@ -897,6 +945,9 @@ func (e *Engine) grant(n *node, o geom.Dir, r request, now int64, fx *tileFX) {
 		e.meter.CrossbarTraversal(1)
 	} else {
 		fx.xbar++
+	}
+	if f.Tail() {
+		n.routed[o]--
 	}
 
 	if o == geom.Local {
@@ -932,7 +983,7 @@ func (e *Engine) grant(n *node, o geom.Dir, r request, now int64, fx *tileFX) {
 	if e.probe != nil {
 		e.probe.Traverse(n.id, o, f.Pkt, 1, false, now)
 	}
-	n.out[o].flitsOut.Send(flitMsg{f: f, vc: outVC}, now)
+	e.flitLinks.Send(int(n.out[o]), flitMsg{f: f, vc: outVC}, now)
 	if f.Tail() {
 		n.owner[int(o)*e.nvc+outVC] = nil
 	}
@@ -941,18 +992,34 @@ func (e *Engine) grant(n *node, o geom.Dir, r request, now int64, fx *tileFX) {
 // InFlight returns accepted-but-undelivered packets.
 func (e *Engine) InFlight() int { return e.inFlight }
 
-// Audit verifies flit conservation: flits buffered in VCs plus flits on
-// links must equal flits injected minus flits ejected, and NI queues
-// plus partially/fully buffered packets must equal InFlight.
+// Audit verifies flit conservation — flits buffered in VCs plus flits
+// on links must equal flits injected minus flits ejected, and NI queues
+// cannot outnumber the packets in flight — and the invariants that let
+// stepping skip work: a router not marked busy holds no flit, injection
+// worm or queued packet, and each output's routed count matches the
+// worms routed to it.
 func (e *Engine) Audit() error {
-	buffered := int64(0)
+	buffered := int64(e.flitLinks.InFlight())
 	for _, n := range e.nodes {
 		for _, c := range n.cnt {
 			buffered += int64(c)
 		}
-		for d := geom.Dir(0); d < geom.NumDirs; d++ {
-			if fl := n.in[d].flitsIn; fl != nil {
-				buffered += int64(fl.InFlight())
+		if !n.busy && (holdsFlits(n) || n.injActive > 0 || n.ni.Backlog() > 0) {
+			return fmt.Errorf("wormhole: router %v is not marked busy but holds work (flits %v, injection worms %d, queued %d)",
+				n.c, holdsFlits(n), n.injActive, n.ni.Backlog())
+		}
+		for _, o := range geom.OutputDirs {
+			worms := 0
+			for _, w := range n.want[int(o)*e.wper : int(o+1)*e.wper] {
+				worms += bits.OnesCount64(w)
+			}
+			for i := range n.inj {
+				if n.inj[i].active && n.inj[i].outDir == o {
+					worms++
+				}
+			}
+			if int(n.routed[o]) != worms {
+				return fmt.Errorf("wormhole: router %v output %v counts %d routed worms, holds %d", n.c, o, n.routed[o], worms)
 			}
 		}
 	}
